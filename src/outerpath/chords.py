@@ -23,11 +23,11 @@ forced by non-crossing):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from .graph import Graph, is_two_connected
+from .graph import Graph, is_two_connected, vertex_set
 from .outerplanar import OuterEmbedding, verify_embedding
 from .paths import iter_induced_paths
-from .dual import split_by_chord
 
 
 @dataclass(frozen=True)
@@ -82,15 +82,36 @@ class ChordStats:
     has_v_x_prime: bool
     has_v_y_prime: bool
 
+    @property
+    def six_product_bound(self) -> int:
+        """The crossing bound on phi: the six endpoint-stub products."""
+        return (
+            self.s1 * self.q1
+            + self.t1 * self.p1
+            + self.s1 * self.t2
+            + self.s2 * self.t1
+            + self.p1 * self.q2
+            + self.p2 * self.q1
+        )
+
+    @property
+    def quadratic_bound(self) -> int:
+        """The size bound on phi: n1*n2 + n1 + n2."""
+        return self.n1 * self.n2 + self.n1 + self.n2
+
+
+def _check_graph(g: Graph, emb: OuterEmbedding) -> None:
+    if not verify_embedding(g, emb):
+        raise ValueError("invalid embedding")
+    if not is_two_connected(g):
+        raise ValueError("chord statistics require a 2-connected graph")
+
 
 def _check_instance(g: Graph, emb: OuterEmbedding, chord: tuple[int, int]) -> None:
     x, y = chord
     if not g.has_edge(x, y):
         raise ValueError(f"({x},{y}) is not an edge")
-    if not verify_embedding(g, emb):
-        raise ValueError("invalid embedding")
-    if not is_two_connected(g):
-        raise ValueError("chord statistics require a 2-connected graph")
+    _check_graph(g, emb)
 
 
 def _side_sequences(g: Graph, emb: OuterEmbedding, chord: tuple[int, int]) -> tuple[list[int], list[int]]:
@@ -208,14 +229,10 @@ def side_partition(g: Graph, emb: OuterEmbedding, chord: tuple[int, int], primed
     return _partition_side(g, backward if primed else forward)
 
 
-def chord_stats(g: Graph, emb: OuterEmbedding, chord: tuple[int, int]) -> ChordStats:
-    _check_instance(g, emb, chord)
-    forward, backward = _side_sequences(g, emb, chord)
-    u = _partition_side(g, forward)
-    up = _partition_side(g, backward)
+def _stats(u: SidePartition, up: SidePartition) -> ChordStats:
     return ChordStats(
-        n1=len(forward),
-        n2=len(backward),
+        n1=len(u.seq),
+        n2=len(up.seq),
         s1=u.s1,
         s2=u.s2,
         t1=up.s1,
@@ -243,24 +260,44 @@ def chord_stats(g: Graph, emb: OuterEmbedding, chord: tuple[int, int]) -> ChordS
     )
 
 
+def chord_stats(g: Graph, emb: OuterEmbedding, chord: tuple[int, int]) -> ChordStats:
+    _check_instance(g, emb, chord)
+    forward, backward = _side_sequences(g, emb, chord)
+    return _stats(_partition_side(g, forward), _partition_side(g, backward))
+
+
+def _path_masks(g: Graph, k: int) -> list[int]:
+    return [vertex_set(path) for path in iter_induced_paths(g, k)] if k <= g.n else []
+
+
+def _crossing_count(path_masks: list[int], forward: list[int], backward: list[int]) -> int:
+    """Paths meeting the strict interior of both side arcs."""
+    u_strict = vertex_set(forward[1:-1])
+    up_strict = vertex_set(backward[1:-1])
+    return sum(1 for pmask in path_masks if pmask & u_strict and pmask & up_strict)
+
+
 def phi(g: Graph, emb: OuterEmbedding, chord: tuple[int, int], k: int = 4) -> int:
     """Induced ``k``-vertex paths meeting the strict interior of both sides."""
     _check_instance(g, emb, chord)
-    if k > g.n:
-        return 0
-    x, y = chord
-    u_mask, up_mask = split_by_chord(g, emb, chord)
-    ends = (1 << x) | (1 << y)
-    u_strict = u_mask & ~ends
-    up_strict = up_mask & ~ends
-    count = 0
-    for path in iter_induced_paths(g, k):
-        pmask = 0
-        for v in path:
-            pmask |= 1 << v
-        if pmask & u_strict and pmask & up_strict:
-            count += 1
-    return count
+    return _crossing_count(_path_masks(g, k), *_side_sequences(g, emb, chord))
+
+
+def chord_instances(
+    g: Graph, emb: OuterEmbedding
+) -> Iterator[tuple[ChordStats, int, tuple[SidePartition, SidePartition]]]:
+    """Stats, phi (k = 4) and both side partitions for every edge of ``g`` as the chord.
+
+    Validates ``g`` and ``emb`` once and enumerates the induced 4-vertex
+    paths once, where :func:`chord_stats`, :func:`phi` and
+    :func:`side_partition` repeat both for every chord they are given.
+    """
+    _check_graph(g, emb)
+    path_masks = _path_masks(g, 4)
+    for chord in g.edges():
+        forward, backward = _side_sequences(g, emb, chord)
+        sides = (_partition_side(g, forward), _partition_side(g, backward))
+        yield _stats(*sides), _crossing_count(path_masks, forward, backward), sides
 
 
 def partition_is_complete(part: SidePartition) -> bool:
@@ -297,19 +334,9 @@ def side_inequalities(stats: ChordStats) -> dict[str, bool]:
 
 def check_crossing_bound(g: Graph, emb: OuterEmbedding, chord: tuple[int, int]) -> bool:
     """Crossing count bounded by the six endpoint-stub products."""
-    st = chord_stats(g, emb, chord)
-    bound = (
-        st.s1 * st.q1
-        + st.t1 * st.p1
-        + st.s1 * st.t2
-        + st.s2 * st.t1
-        + st.p1 * st.q2
-        + st.p2 * st.q1
-    )
-    return phi(g, emb, chord, 4) <= bound
+    return phi(g, emb, chord, 4) <= chord_stats(g, emb, chord).six_product_bound
 
 
 def check_quadratic_bound(g: Graph, emb: OuterEmbedding, chord: tuple[int, int]) -> bool:
     """Crossing count bounded by n1*n2 + n1 + n2."""
-    st = chord_stats(g, emb, chord)
-    return phi(g, emb, chord, 4) <= st.n1 * st.n2 + st.n1 + st.n2
+    return phi(g, emb, chord, 4) <= chord_stats(g, emb, chord).quadratic_bound

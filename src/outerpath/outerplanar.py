@@ -1,24 +1,22 @@
 """Outerplanarity recognition, outer-cycle embeddings and triangulating completions.
 
-Recognition is dual-path.  A supplied cyclic vertex order acts as a
-certificate checked by :func:`verify_embedding` (no two chords may
-interleave), which works at any supported size.  Without a certificate,
-:func:`is_outerplanar` searches for a K4 or a K2,3 subdivision; since both
-patterns have maximum degree 3, subdivision containment coincides with
-minor containment, so their joint absence characterizes outerplanarity.
-The subdivision search is capped at 16 vertices.
+A cyclic vertex order is a certificate of outerplanarity exactly when
+:func:`verify_embedding` finds no two interleaving edges.  Recognition
+produces such certificates: it splits the graph into biconnected blocks
+and peels each block down to a triangle by removing degree-2 vertices
+(Mitchell 1979), then re-inserts them to rebuild the block's outer cycle.
+A graph is outerplanar iff every block's cycle verifies, and a 2-connected
+outerplanar graph's outer cycle is its unique Hamiltonian cycle.  Nothing
+is believed without the certificate check, and there is no size cap
+below the graph core's own.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
 
-from .graph import Graph, UnsupportedSizeError, bits, is_two_connected
-
-SUBDIVISION_SEARCH_CAP = 16
+from .graph import Graph, VertexSet, bits, induced_subgraph, is_two_connected
 
 
 @dataclass(frozen=True)
@@ -74,136 +72,110 @@ def verify_embedding(g: Graph, emb: OuterEmbedding) -> bool:
     return True
 
 
-# -- subdivision search ------------------------------------------------------
+# -- recognition by degree-2 peeling -----------------------------------------
 
 
-def _path_interiors(adj: tuple[int, ...], a: int, b: int, blocked: int) -> Iterator[int]:
-    """Yield interior masks of simple a-b paths avoiding ``blocked`` inside."""
+def _blocks(g: Graph) -> list[VertexSet]:
+    """Vertex masks of the biconnected components with at least 3 vertices.
 
-    def go(u: int, interior: int, visited: int) -> Iterator[int]:
-        row = adj[u]
-        if row >> b & 1:
-            yield interior
-        for w in bits(row & ~visited & ~blocked & ~(1 << b)):
-            yield from go(w, interior | (1 << w), visited | (1 << w))
-
-    yield from go(a, 0, (1 << a) | (1 << b))
-
-
-def _has_k4_subdivision(g: Graph) -> bool:
-    adj = g.adj
-    branch_candidates = [v for v in range(g.n) if g.degree(v) >= 3]
-    for quad in combinations(branch_candidates, 4):
-        branch_mask = 0
-        for v in quad:
-            branch_mask |= 1 << v
-        pairs = list(combinations(quad, 2))
-
-        def connectable(idx: int, used: int) -> bool:
-            if idx == len(pairs):
-                return True
-            a, b = pairs[idx]
-            for interior in _path_interiors(adj, a, b, branch_mask | used):
-                if connectable(idx + 1, used | interior):
-                    return True
-            return False
-
-        if connectable(0, 0):
-            return True
-    return False
-
-
-def _internally_disjoint_count(g: Graph, a: int, b: int, limit: int) -> int:
-    """Max internally vertex-disjoint a-b paths of length >= 2, up to ``limit``.
-
-    Unit-capacity max flow on the split graph (v_in -> v_out), with the
-    direct edge ab removed so every augmenting path has length >= 2.
+    Lowpoint depth-first search (recursion depth is at most n <= 64): a
+    tree edge v-w closes a block when nothing below w reaches above v, and
+    the block is v plus every vertex discovered since w.
     """
-    cap: dict[tuple[int, int], int] = defaultdict(int)
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    blocks = []
+
+    def visit(v: int) -> None:
+        disc[v] = low[v] = len(disc)
+        stack.append(v)
+        for w in bits(g.adj[v]):
+            if w in disc:
+                low[v] = min(low[v], disc[w])
+                continue
+            visit(w)
+            low[v] = min(low[v], low[w])
+            if low[w] >= disc[v]:
+                block = 1 << v
+                while not block >> w & 1:
+                    block |= 1 << stack.pop()
+                if block.bit_count() >= 3:
+                    blocks.append(block)
+
     for v in range(g.n):
-        if v != a and v != b:
-            cap[(2 * v, 2 * v + 1)] = 1
-    for u, v in g.edges():
-        if (u, v) == (min(a, b), max(a, b)):
+        if v not in disc:
+            visit(v)
+    return blocks
+
+
+def _peel_cycle(adj: tuple[int, ...], block: VertexSet) -> list[int] | None:
+    """Candidate outer cycle of a 2-connected ``block``, or None if stuck.
+
+    Repeatedly removes a degree-2 vertex v and joins its neighbors u and w,
+    which contracts vu and so keeps an outerplanar block outerplanar, until
+    a triangle remains.  Each v is then re-inserted between u and w, which
+    must be consecutive on the reduced block's unique Hamiltonian cycle.
+    A non-outerplanar block can reach the triangle too (K2,3 does), and
+    then some insertion finds u and w apart.  A returned cycle is still
+    only a candidate: callers certify it with :func:`verify_embedding`.
+    The cycle starts at the block's smallest vertex, followed by its
+    smaller cycle neighbor.
+    """
+    rows = {v: adj[v] & block for v in bits(block)}
+    ready = [v for v, row in rows.items() if row.bit_count() == 2]
+    removed = []
+    while len(rows) > 3:
+        if not ready:
+            return None
+        v = ready.pop()
+        if v not in rows:
             continue
-        cap[(2 * u + 1, 2 * v)] += 1
-        cap[(2 * v + 1, 2 * u)] += 1
-    src, snk = 2 * a + 1, 2 * b
-    forward: dict[int, set[int]] = defaultdict(set)
-    for x, y in cap:
-        forward[x].add(y)
-        forward[y].add(x)
-
-    flow = 0
-    while flow < limit:
-        parent = {src: src}
-        queue = [src]
-        while queue and snk not in parent:
-            x = queue.pop()
-            for y in forward[x]:
-                if y not in parent and cap[(x, y)] > 0:
-                    parent[y] = x
-                    queue.append(y)
-        if snk not in parent:
-            break
-        y = snk
-        while y != src:
-            x = parent[y]
-            cap[(x, y)] -= 1
-            cap[(y, x)] += 1
-            y = x
-        flow += 1
-    return flow
-
-
-def _has_k23_subdivision(g: Graph) -> bool:
-    for a, b in combinations(range(g.n), 2):
-        direct = g.has_edge(a, b)
-        if g.degree(a) - direct < 3 or g.degree(b) - direct < 3:
-            continue
-        if _internally_disjoint_count(g, a, b, 3) >= 3:
-            return True
-    return False
+        u, w = bits(rows.pop(v))
+        for a, b in ((u, w), (w, u)):
+            rows[a] = rows[a] & ~(1 << v) | 1 << b
+            if rows[a].bit_count() == 2:
+                ready.append(a)
+        removed.append((v, u, w))
+    a, b, c = rows
+    succ = {a: b, b: c, c: a}
+    for v, u, w in reversed(removed):
+        if succ[w] == u:
+            u, w = w, u
+        if succ[u] != w:
+            return None
+        succ[u], succ[v] = v, w
+    cycle = [min(succ)]
+    while len(cycle) < len(succ):
+        cycle.append(succ[cycle[-1]])
+    if cycle[1] > cycle[-1]:
+        cycle[1:] = cycle[:0:-1]
+    return cycle
 
 
 def is_outerplanar(g: Graph) -> bool:
-    """Subdivision-based recognition, capped at 16 vertices.
+    """True iff every block of ``g`` has a certified outer cycle.
 
-    Rejects immediately on the edge bound e > 2n-3; beyond the size cap
-    callers must certify an embedding through :func:`verify_embedding`.
+    Rejects immediately on the edge bound e > 2n-3.  Otherwise each
+    biconnected component is peeled to a candidate outer cycle, which must
+    pass :func:`verify_embedding` on the block's induced subgraph, so a
+    True answer always rests on a checked embedding.
     """
     n = g.n
     if n >= 2 and g.edge_count() > 2 * n - 3:
         return False
-    if n <= 3:
-        return True
-    if n > SUBDIVISION_SEARCH_CAP:
-        raise UnsupportedSizeError(
-            f"subdivision search is capped at n <= {SUBDIVISION_SEARCH_CAP}; "
-            "supply an embedding and use verify_embedding instead"
-        )
-    return not (_has_k23_subdivision(g) or _has_k4_subdivision(g))
+    for block in _blocks(g):
+        cycle = _peel_cycle(g.adj, block)
+        if cycle is None:
+            return False
+        rank = {v: i for i, v in enumerate(bits(block))}
+        emb = OuterEmbedding(tuple(rank[v] for v in cycle))
+        if not verify_embedding(induced_subgraph(g, block), emb):
+            return False
+    return True
 
 
 # -- outer cycle and completion ----------------------------------------------
-
-
-def _hamiltonian_cycle(g: Graph) -> list[int] | None:
-    n = g.n
-    adj = g.adj
-    path = [0]
-
-    def extend(u: int, visited: int) -> bool:
-        if len(path) == n:
-            return bool(adj[u] & 1)
-        for w in bits(adj[u] & ~visited):
-            path.append(w)
-            if extend(w, visited | (1 << w)):
-                return True
-            path.pop()
-        return False
-
-    return path if extend(0, 1) else None
 
 
 def outer_cycle(g: Graph) -> OuterEmbedding:
@@ -213,15 +185,12 @@ def outer_cycle(g: Graph) -> OuterEmbedding:
     """
     if not is_two_connected(g):
         raise ValueError("outer_cycle requires a 2-connected graph")
-    cycle = _hamiltonian_cycle(g)
-    if cycle is None:
-        raise ValueError("graph has no Hamiltonian cycle, so no outer cycle")
-    if cycle[1] > cycle[-1]:
-        cycle = [cycle[0]] + cycle[:0:-1]
-    emb = OuterEmbedding(tuple(cycle))
-    if not verify_embedding(g, emb):
-        raise ValueError("graph is not outerplanar: chords cross on its Hamiltonian cycle")
-    return emb
+    cycle = _peel_cycle(g.adj, g.full_mask)
+    if cycle is not None:
+        emb = OuterEmbedding(tuple(cycle))
+        if verify_embedding(g, emb):
+            return emb
+    raise ValueError("graph is not outerplanar: it has no crossing-free outer cycle")
 
 
 def maximal_completion(g: Graph, emb: OuterEmbedding) -> Graph:

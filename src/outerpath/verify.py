@@ -22,13 +22,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Iterator
 
-from .chords import (
-    chord_stats,
-    partition_is_complete,
-    phi,
-    side_inequalities,
-    side_partition,
-)
+from .chords import chord_instances, partition_is_complete, side_inequalities
 from .constructions import (
     ConstructionSpec,
     build,
@@ -347,28 +341,14 @@ def chord_suite_counts(n_max: int = 8) -> dict:
     }
     for n in range(3, n_max + 1):
         for g, emb in two_connected_corpus(n):
-            for e in g.edges():
+            for st, crossing, sides in chord_instances(g, emb):
                 counts["instances"] += 1
-                st = chord_stats(g, emb, e)
-                crossing = phi(g, emb, e, 4)
-                six = (
-                    st.s1 * st.q1
-                    + st.t1 * st.p1
-                    + st.s1 * st.t2
-                    + st.s2 * st.t1
-                    + st.p1 * st.q2
-                    + st.p2 * st.q1
-                )
-                if crossing > six:
-                    counts["phi_six_product"] += 1
-                if crossing > st.n1 * st.n2 + st.n1 + st.n2:
-                    counts["phi_quadratic"] += 1
+                counts["phi_six_product"] += crossing > st.six_product_bound
+                counts["phi_quadratic"] += crossing > st.quadratic_bound
                 rep = side_inequalities(st)
                 counts["first_order_lines"] += sum(not rep[x] for x in first_order)
                 counts["second_order_lines"] += sum(not rep[x] for x in second_order)
-                for primed in (False, True):
-                    if not partition_is_complete(side_partition(g, emb, e, primed)):
-                        counts["partition"] += 1
+                counts["partition"] += sum(not partition_is_complete(side) for side in sides)
     return counts
 
 

@@ -13,25 +13,12 @@ from outerpath import (
     side_inequalities,
     side_partition,
     split_by_chord,
-    triangulation_chord_sets,
 )
+from outerpath.verify import two_connected_corpus
 
 
 def cycle(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def two_connected_corpus(n):
-    """Distinct labeled 2-connected outerplanar graphs on n vertices."""
-    cyc = [(i, (i + 1) % n) for i in range(n)]
-    seen = set()
-    for chords in triangulation_chord_sets(n):
-        for sub in range(1 << len(chords)):
-            key = tuple(chords[i] for i in range(len(chords)) if sub >> i & 1)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield Graph(n, cyc + list(key))
 
 
 def brute_phi(g, emb, chord, k):
@@ -64,8 +51,7 @@ class TestChordStats:
 
     def test_side_sizes_sum(self):
         for n in (5, 6, 7):
-            for g in two_connected_corpus(n):
-                emb = OuterEmbedding.identity(n)
+            for g, emb in two_connected_corpus(n):
                 for e in g.edges():
                     st = chord_stats(g, emb, e)
                     assert st.n1 + st.n2 == n + 2
@@ -87,8 +73,7 @@ class TestChordStats:
 
     def test_d_sizes_odd_or_zero(self):
         for n in range(3, 8):
-            emb = OuterEmbedding.identity(n)
-            for g in two_connected_corpus(n):
+            for g, emb in two_connected_corpus(n):
                 for e in g.edges():
                     st = chord_stats(g, emb, e)
                     for d in (st.d1, st.d2, st.d1_prime, st.d2_prime):
@@ -99,8 +84,7 @@ class TestFacts:
     def test_fact1_neighbor_orderings_never_interleave(self):
         # x-neighbors precede y-neighbors along each side arc
         for n in range(4, 8):
-            emb = OuterEmbedding.identity(n)
-            for g in two_connected_corpus(n):
+            for g, emb in two_connected_corpus(n):
                 for e in g.edges():
                     for primed in (False, True):
                         part = side_partition(g, emb, e, primed)
@@ -110,8 +94,7 @@ class TestFacts:
 
     def test_fact3_one_double_contributor_per_gap(self):
         for n in range(5, 8):
-            emb = OuterEmbedding.identity(n)
-            for g in two_connected_corpus(n):
+            for g, emb in two_connected_corpus(n):
                 for e in g.edges():
                     for primed in (False, True):
                         part = side_partition(g, emb, e, primed)
@@ -136,8 +119,7 @@ class TestFacts:
 class TestPartition:
     def test_complete_on_corpus(self):
         for n in range(3, 8):
-            emb = OuterEmbedding.identity(n)
-            for g in two_connected_corpus(n):
+            for g, emb in two_connected_corpus(n):
                 for e in g.edges():
                     for primed in (False, True):
                         assert partition_is_complete(side_partition(g, emb, e, primed))
@@ -162,8 +144,7 @@ class TestPhi:
             assert phi(g, emb, e, 4) == 0
 
     def test_agrees_with_brute_on_corpus_n6(self):
-        emb = OuterEmbedding.identity(6)
-        for g in two_connected_corpus(6):
+        for g, emb in two_connected_corpus(6):
             for e in g.edges():
                 assert phi(g, emb, e, 4) == brute_phi(g, emb, e, 4)
 
@@ -175,15 +156,13 @@ class TestPhi:
 class TestInequalities:
     def test_eq1_holds_on_corpus(self):
         for n in range(3, 8):
-            emb = OuterEmbedding.identity(n)
-            for g in two_connected_corpus(n):
+            for g, emb in two_connected_corpus(n):
                 for e in g.edges():
                     assert check_crossing_bound(g, emb, e)
 
     def test_quadratic_bound_holds_on_corpus(self):
         for n in range(3, 8):
-            emb = OuterEmbedding.identity(n)
-            for g in two_connected_corpus(n):
+            for g, emb in two_connected_corpus(n):
                 for e in g.edges():
                     assert check_quadratic_bound(g, emb, e)
 
@@ -193,8 +172,7 @@ class TestInequalities:
         # acceptance suite pins their violation count and cause
         solid = ("size_sum", "s1", "p1", "size_sum_prime", "t1", "q1")
         for n in range(3, 8):
-            emb = OuterEmbedding.identity(n)
-            for g in two_connected_corpus(n):
+            for g, emb in two_connected_corpus(n):
                 for e in g.edges():
                     rep = side_inequalities(chord_stats(g, emb, e))
                     assert all(rep[name] for name in solid)

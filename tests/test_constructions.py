@@ -47,8 +47,7 @@ class TestBuild:
             g, emb = build(ConstructionSpec("g_t", t=t))
             assert g.n == 2 * t - 2
             assert verify_embedding(g, emb)
-            if g.n <= 16:
-                assert is_outerplanar(g)
+            assert is_outerplanar(g)
 
     def test_g_t_prime_double_star_case(self):
         g, emb = build(ConstructionSpec("g_t_prime", t=2, n=10))
@@ -61,8 +60,7 @@ class TestBuild:
             g, emb = build(ConstructionSpec("g_t_prime", t=t, n=n))
             assert g.n == n
             assert verify_embedding(g, emb)
-            if n <= 16:
-                assert is_outerplanar(g)
+            assert is_outerplanar(g)
 
     def test_g_t_prime_leaf_imbalance_goes_to_first_end(self):
         g, _ = build(ConstructionSpec("g_t_prime", t=3, n=11))

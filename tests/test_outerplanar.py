@@ -7,7 +7,6 @@ import pytest
 from outerpath import (
     Graph,
     OuterEmbedding,
-    UnsupportedSizeError,
     is_outerplanar,
     is_two_connected,
     maximal_completion,
@@ -15,7 +14,7 @@ from outerpath import (
     verify_embedding,
 )
 
-from helpers import outerplanar_by_order_search, random_graph
+from helpers import outerplanar_by_order_search, random_graph, relabel
 
 K4 = Graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
 K23 = Graph(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
@@ -38,6 +37,38 @@ def apex_planarity_oracle(g: Graph) -> bool:
     return nx.check_planarity(h)[0]
 
 
+def glued_blocks(n: int, rng: random.Random, crossing_share: float) -> tuple[Graph, bool]:
+    """Random polygon blocks and bridges glued at cut vertices, n vertices in all.
+
+    Each block gets a random set of pairwise non-crossing diagonals; with
+    probability ``crossing_share`` a block of 4 or more vertices also gets
+    two crossing diagonals, which make it a K4 subdivision.  Returns the
+    randomly relabelled graph and whether no block was given a crossing.
+    """
+    edges = []
+    size, outer = 1, True
+    while size < n:
+        s = min(rng.randint(2, 9), n - size + 1)
+        ring = [rng.randrange(size)] + list(range(size, size + s - 1))
+        size += s - 1
+        edges += [(ring[i], ring[(i + 1) % s]) for i in range(s if s > 2 else 1)]
+        keep = rng.random()
+        chosen = []
+        diagonals = [(a, b) for a in range(s) for b in range(a + 2, s) if b - a < s - 1]
+        rng.shuffle(diagonals)
+        for a, b in diagonals:
+            if rng.random() < keep and not any(a < c < b < d or c < a < d < b for c, d in chosen):
+                chosen.append((a, b))
+        if s >= 4 and rng.random() < crossing_share:
+            i, j, k, l = sorted(rng.sample(range(s), 4))
+            chosen += [(i, k), (j, l)]
+            outer = False
+        edges += [(ring[a], ring[b]) for a, b in chosen]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabel(Graph(n, edges), perm), outer
+
+
 class TestIsOuterplanar:
     def test_forbidden_patterns(self):
         assert not is_outerplanar(K4)
@@ -54,9 +85,27 @@ class TestIsOuterplanar:
         assert is_outerplanar(Graph(1))
         assert is_outerplanar(Graph(3, [(0, 1), (1, 2), (0, 2)]))
 
-    def test_size_cap(self):
-        with pytest.raises(UnsupportedSizeError):
-            is_outerplanar(Graph(17))
+    def test_agreement_with_apex_planarity_n17_to_40(self):
+        # glued blocks: several non-trivial blocks per graph, and about half
+        # of the graphs have K4-subdivided blocks under the 2n-3 edge bound
+        rng = random.Random(1979)
+        for n in range(17, 41):
+            for _ in range(8):
+                g, outer = glued_blocks(n, rng, crossing_share=0.15)
+                assert is_outerplanar(g) == apex_planarity_oracle(g) == outer
+        # one failing block among passing ones: a triangle, a hexagon with
+        # its long chord, a K2,3 and a heptagon with a fan, chained at cut
+        # vertices 2, 7 and 11; dropping one K2,3 edge makes it outerplanar
+        good = [(0, 1), (1, 2), (0, 2), (7, 2), (2, 5), (17, 11), (11, 13), (11, 14)]
+        good += [(i, i + 1) for i in (2, 3, 4, 5, 6, 11, 12, 13, 14, 15, 16)]
+        k23 = [(a, b) for a in (7, 8) for b in (9, 10, 11)]
+        for _ in range(20):
+            perm = list(range(18))
+            rng.shuffle(perm)
+            bad = relabel(Graph(18, good + k23), perm)
+            fixed = relabel(Graph(18, good + k23[:-1]), perm)
+            assert not is_outerplanar(bad) and not apex_planarity_oracle(bad)
+            assert is_outerplanar(fixed) and apex_planarity_oracle(fixed)
 
     def test_exhaustive_agreement_n5(self):
         # all labeled graphs on 5 vertices against the order-search oracle
@@ -132,10 +181,12 @@ class TestOuterCycle:
     def test_unique_hamiltonian_cycle_exhaustive(self):
         # 2-connected outerplanar graphs on n <= 8: exactly one cycle up to
         # rotation and reflection, i.e. two directed traversals from a
-        # fixed start
+        # fixed start.  outer_cycle finds it as the corpus's identity
+        # order, and after a random relabelling as the relabelled cycle
+        # with 0 first and its smaller neighbor second
         from itertools import permutations
 
-        from outerpath import triangulation_chord_sets
+        from outerpath.verify import two_connected_corpus
 
         def directed_ham_cycles(g):
             found = 0
@@ -145,18 +196,19 @@ class TestOuterCycle:
                     found += 1
             return found
 
+        def cycle_edges(order):
+            return {frozenset((order[i - 1], order[i])) for i in range(len(order))}
+
+        rng = random.Random(1979)
         for n in (5, 6, 7, 8):
-            cyc = [(i, (i + 1) % n) for i in range(n)]
-            seen = set()
-            for chords in triangulation_chord_sets(n):
-                for sub in range(1 << len(chords)):
-                    key = tuple(chords[i] for i in range(len(chords)) if sub >> i & 1)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    g = Graph(n, cyc + list(key))
-                    assert is_two_connected(g)
-                    assert directed_ham_cycles(g) == 2
+            for g, _ in two_connected_corpus(n):
+                assert is_two_connected(g)
+                assert directed_ham_cycles(g) == 2
+                assert outer_cycle(g).order == tuple(range(n))
+                perm = rng.sample(range(n), n)
+                order = outer_cycle(relabel(g, perm)).order
+                assert order[0] == 0 and order[1] < order[-1]
+                assert cycle_edges(order) == cycle_edges(perm)
 
 
 class TestMaximalCompletion:
