@@ -103,23 +103,37 @@ def two_connected_corpus(n: int) -> Iterator[tuple[Graph, OuterEmbedding]]:
 
 
 def random_bounded_degree_tree(n: int, k: int, rng: random.Random) -> Tree:
-    """Uniform-attachment random tree with maximum degree at most k."""
-    if n == 1:
-        return Tree(1, ())
-    edges = []
-    deg = [0] * n
+    """Uniform-attachment random tree with maximum degree at most k.
+
+    Edge i is (parent, i + 1) with parent < i + 1.  The parent is drawn
+    from the nodes still below degree k with the draws of
+    ``rng.randrange(len(available))``, inlined as the rejection loop over
+    ``getrandbits`` that ``random.Random`` runs for it.
+    """
+    if n <= 1:
+        return Tree(n, ())
+    getrandbits = rng.getrandbits
+    parents = []
+    # each node but the root joins with the edge to its parent
+    deg = [1] * n
+    deg[0] = 0
     available = [0]
+    m = 1
     for v in range(1, n):
-        i = rng.randrange(len(available))
+        bits = m.bit_length()
+        i = getrandbits(bits)
+        while i >= m:
+            i = getrandbits(bits)
         parent = available[i]
-        edges.append((parent, v))
+        parents.append(parent)
         deg[parent] += 1
-        deg[v] += 1
         if deg[parent] >= k:
             available[i] = available[-1]
-            available.pop()
-        available.append(v)
-    return Tree(n, tuple(edges))
+            available[-1] = v
+        else:
+            available.append(v)
+            m += 1
+    return Tree(n, tuple(zip(parents, range(1, n))))
 
 
 def _star(n: int) -> Graph:
@@ -287,12 +301,11 @@ def check_tree_edge_cut(jobs: int = 1) -> CheckResult:
             t = random_bounded_degree_tree(n, k, rng)
             trials += 1
             try:
-                u, v = balanced_edge_cut(t, k)
+                cut = balanced_edge_cut(t, k)
             except RuntimeError:
                 failures += 1
                 continue
-            sub = _component_size(t, u, v)
-            if k * min(sub, n - sub) < n - 1:
+            if not _cut_is_balanced(t, k, cut):
                 failures += 1
     return CheckResult(
         "tree-edge-cut",
@@ -304,21 +317,22 @@ def check_tree_edge_cut(jobs: int = 1) -> CheckResult:
     )
 
 
-def _component_size(t: Tree, u: int, v: int) -> int:
-    neigh: dict[int, list[int]] = {i: [] for i in range(t.n)}
-    for a, b in t.edges:
-        if {a, b} != {u, v}:
-            neigh[a].append(b)
-            neigh[b].append(a)
-    seen = {u}
-    stack = [u]
-    while stack:
-        w = stack.pop()
-        for z in neigh[w]:
-            if z not in seen:
-                seen.add(z)
-                stack.append(z)
-    return len(seen)
+def _cut_is_balanced(t: Tree, k: int, cut: tuple[int, int]) -> bool:
+    """Whether ``cut`` is a tree edge leaving >= (n-1)/k nodes on each side.
+
+    Counts the sides itself instead of trusting the cut search.  The tree
+    must be shaped as :func:`random_bounded_degree_tree` emits it: edge i
+    is (parent, i + 1) with parent < i + 1, so one pass over the edges in
+    reverse finishes every subtree before adding it to its parent's.
+    """
+    n = t.n
+    parent = [-1] * n
+    sub = [1] * n
+    for p, c in reversed(t.edges):
+        parent[c] = p
+        sub[p] += sub[c]
+    u, v = cut
+    return parent[v] == u and k * min(sub[v], n - sub[v]) >= n - 1
 
 
 def chord_suite_counts(n_max: int = 8) -> dict:

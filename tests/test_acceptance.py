@@ -23,7 +23,6 @@ from outerpath import (
     build,
     canonical_form,
     catalan,
-    chord_stats,
     count_induced_paths,
     count_induced_paths_between,
     double_star_p4_count,
@@ -36,6 +35,7 @@ from outerpath import (
     side_inequalities,
     triangulation_chord_sets,
 )
+from outerpath.chords import chord_instances
 from outerpath.verify import (
     check_graph6_roundtrip,
     check_tree_edge_cut,
@@ -160,6 +160,7 @@ def test_criterion_07_tree_edge_cut():
     result = check_tree_edge_cut()
     _report(7, result.passed, f"{result.observed}")
     assert result.passed
+    assert result.observed == {"trials": 3000, "failures": 0, "max_n": 1999}
 
 
 def test_criterion_08_chord_inequality_suite():
@@ -174,8 +175,7 @@ def test_criterion_08_chord_inequality_suite():
     first_n = None
     for n in range(3, 9):
         for g, emb in two_connected_corpus(n):
-            for e in g.edges():
-                st = chord_stats(g, emb, e)
+            for e, (st, _, _) in zip(g.edges(), chord_instances(g, emb)):
                 second = {"s2": st.s2, "p2": st.p2, "t2": st.t2, "q2": st.q2}
                 if brute_side_p3_counts(g, emb.order, e) != second:
                     oracle_misses += 1

@@ -12,6 +12,7 @@ from outerpath import (
     side_face_counts,
     split_by_chord,
     triangulation_chord_sets,
+    verify,
     vertex_set,
     weak_dual,
 )
@@ -25,7 +26,27 @@ def path_tree(n):
     return Tree(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
+def component(t, start, cut):
+    # nodes reachable from start once the edge cut is removed
+    neigh = {i: [] for i in range(t.n)}
+    for a, b in t.edges:
+        if {a, b} != set(cut):
+            neigh[a].append(b)
+            neigh[b].append(a)
+    seen = {start}
+    stack = [start]
+    while stack:
+        w = stack.pop()
+        for z in neigh[w]:
+            if z not in seen:
+                seen.add(z)
+                stack.append(z)
+    return seen
+
+
 def random_bounded_degree_tree(n, k, rng):
+    # reference for outerpath.verify.random_bounded_degree_tree, which
+    # must make the same draws and return the same edges
     edges = []
     deg = [0] * n
     available = [0]
@@ -50,6 +71,14 @@ class TestTree:
             Tree(3, ((0, 1), (0, 1)))
         with pytest.raises(ValueError):
             Tree(4, ((0, 1), (2, 3), (0, 1)))
+        with pytest.raises(ValueError):
+            Tree(0, ())
+        with pytest.raises(ValueError):
+            Tree(3, ((0, 1), (1, 5)))
+        with pytest.raises(ValueError):
+            Tree(3, ((0, 1), (-1, 2)))
+        with pytest.raises(ValueError):
+            Tree(2, ((0, 0),))
 
     def test_single_node(self):
         assert Tree(1, ()).max_degree() == 0
@@ -103,6 +132,12 @@ class TestBalancedEdgeCut:
         sides = sorted((min(edge) + 1, 7 - min(edge) - 1))
         assert sides == [3, 4]
 
+    def test_ties_go_to_the_smallest_edge(self):
+        assert balanced_edge_cut(path_tree(7), 3) == (2, 3)
+        assert balanced_edge_cut(Tree(4, ((0, 1), (0, 2), (0, 3))), 3) == (0, 1)
+        # the search meets these edges largest first
+        assert balanced_edge_cut(Tree(4, ((0, 3), (1, 3), (2, 3))), 3) == (0, 3)
+
     def test_degree_cap_enforced(self):
         t = Tree(5, ((0, 1), (0, 2), (0, 3), (0, 4)))
         with pytest.raises(ValueError):
@@ -117,21 +152,52 @@ class TestBalancedEdgeCut:
             t = random_bounded_degree_tree(n, k, rng)
             u, v = balanced_edge_cut(t, k)
             # recount both sides independently of the implementation
-            neigh = {i: [] for i in range(n)}
-            for a, b in t.edges:
-                if {a, b} != {u, v}:
-                    neigh[a].append(b)
-                    neigh[b].append(a)
-            seen = {u}
-            stack = [u]
-            while stack:
-                w = stack.pop()
-                for z in neigh[w]:
-                    if z not in seen:
-                        seen.add(z)
-                        stack.append(z)
+            seen = component(t, u, (u, v))
             small = min(len(seen), n - len(seen))
             assert Fraction(small) >= Fraction(n - 1, k)
+
+
+class TestTreeEdgeCutCheck:
+    def test_generator_keeps_the_random_stream(self):
+        for n in (1, 2, 3, 50, 2000):
+            for k in range(3, 9):
+                seed = 1000 * n + k
+                ref_rng, rng = random.Random(seed), random.Random(seed)
+                expected = random_bounded_degree_tree(n, k, ref_rng)
+                assert verify.random_bounded_degree_tree(n, k, rng).edges == expected.edges
+                assert rng.getstate() == ref_rng.getstate()
+
+    def test_recount_accepts_only_tree_edges_as_parent_child(self):
+        assert verify._cut_is_balanced(path_tree(7), 3, (2, 3))
+        assert verify._cut_is_balanced(path_tree(7), 3, (3, 4))
+        assert verify._cut_is_balanced(Tree(4, ((0, 1), (0, 2), (0, 3))), 3, (0, 2))
+        t = path_tree(3)
+        assert verify._cut_is_balanced(t, 3, (0, 1))
+        assert not verify._cut_is_balanced(t, 3, (0, 2))
+        # the cut search returns (min, max); here that is (parent, child)
+        assert not verify._cut_is_balanced(t, 3, (1, 0))
+        assert not verify._cut_is_balanced(path_tree(7), 3, (3, 2))
+
+    def test_recount_rejects_unbalanced_edges(self):
+        t = path_tree(20)
+        for k in range(3, 9):
+            assert not verify._cut_is_balanced(t, k, (0, 1))
+            assert not verify._cut_is_balanced(t, k, (18, 19))
+        assert verify._cut_is_balanced(t, 3, (6, 7))
+        assert not verify._cut_is_balanced(t, 3, (5, 6))
+        assert not verify._cut_is_balanced(t, 3, (13, 14))
+
+    def test_recount_agrees_with_a_search_of_the_cut_tree(self):
+        rng = random.Random(4242)
+        for _ in range(200):
+            k = rng.randint(3, 8)
+            n = rng.randint(2, 60)
+            t = random_bounded_degree_tree(n, k, rng)
+            for u, v in t.edges:
+                seen = component(t, u, (u, v))
+                assert verify._cut_is_balanced(t, k, (u, v)) == (
+                    k * min(len(seen), n - len(seen)) >= n - 1
+                )
 
 
 class TestSplitByChord:

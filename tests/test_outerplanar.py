@@ -184,17 +184,21 @@ class TestOuterCycle:
         # fixed start.  outer_cycle finds it as the corpus's identity
         # order, and after a random relabelling as the relabelled cycle
         # with 0 first and its smaller neighbor second
-        from itertools import permutations
-
         from outerpath.verify import two_connected_corpus
 
         def directed_ham_cycles(g):
-            found = 0
-            for perm in permutations(range(1, g.n)):
-                order = (0,) + perm
-                if all(g.has_edge(order[i], order[(i + 1) % g.n]) for i in range(g.n)):
-                    found += 1
-            return found
+            # grow paths from 0 along edges only; each one that covers
+            # every vertex and closes back to 0 is one directed cycle
+            adj = [[w for w in range(g.n) if g.has_edge(v, w)] for v in range(g.n)]
+
+            def extend(v, used, length):
+                if length == g.n:
+                    return int(g.has_edge(v, 0))
+                return sum(
+                    extend(w, used | 1 << w, length + 1) for w in adj[v] if not used >> w & 1
+                )
+
+            return extend(0, 1, 1)
 
         def cycle_edges(order):
             return {frozenset((order[i - 1], order[i])) for i in range(len(order))}
