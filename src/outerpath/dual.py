@@ -42,6 +42,14 @@ class Tree:
                 raise ValueError("edges form a cycle")
             root[u] = v
 
+    @classmethod
+    def _unchecked(cls, n: int, edges: tuple[tuple[int, int], ...]) -> "Tree":
+        # Internal fast path; the edges must already form a tree on 0..n-1.
+        t = object.__new__(cls)
+        object.__setattr__(t, "n", n)
+        object.__setattr__(t, "edges", edges)
+        return t
+
     def degrees(self) -> list[int]:
         deg = [0] * self.n
         for u, v in self.edges:

@@ -2,16 +2,26 @@
 
 Every maximal outerplanar graph on n >= 3 vertices is a triangulated
 convex polygon, so every outerplanar graph (up to relabeling the outer
-cycle to the identity) is an edge subset of some polygon triangulation.
-The searches therefore enumerate triangulations (Catalan(n-2) of them)
-and, per triangulation, sweep all 2^(2n-3) edge subsets at once with
-numpy:  a candidate vertex sequence that is a path of the triangulation
-is an induced path of the subset graph iff its consecutive pairs are all
-present and its other triangulation pairs are all absent, which is two
-mask comparisons against the whole subset range.
+cycle to the identity) is an edge subset of some polygon triangulation:
+a subset of the n cycle edges plus a non-crossing chord set.  The search
+enumerates triangulations (Catalan(n-2) of them) and gives each chord
+set to the first triangulation that contains it, so each labeled graph
+is scanned once; the owned chord sets are the dissections of the n-gon,
+little-Schroeder(n) of them.
+
+One sweep per n scans, with numpy, every subset a triangulation owns
+against every path of that triangulation on 2..min(n, 8) vertices: a
+candidate vertex sequence is an induced path of the subset graph iff its
+consecutive pairs are all present and its other triangulation pairs are
+all absent, which is one mask comparison against all subsets at once.
+The sweep yields the per-length maxima with their maximising graphs and
+the endpoint-pair census together; ``extremal_value`` and
+``endpoint_pair_maxima`` read it from a per-process cache.  Maximising
+graphs are canonicalised once per rotation/reflection class of the outer
+cycle.
 
 Work is split across processes by contiguous triangulation blocks; the
-reduction (max, then union of canonical witness forms) is associative, so
+reduction (max, then union of maximising graphs) is associative, so
 reports are byte-identical for any worker count.
 """
 
@@ -20,6 +30,7 @@ from __future__ import annotations
 import multiprocessing
 import random
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator
@@ -30,8 +41,11 @@ from .constructions import fib
 from .graph import Graph, UnsupportedSizeError, canonical_form
 
 TRIANGULATION_CAP = 16
+# SEARCH_CAP <= ENDPOINT_LEN_CAP, so the sweep's path lengths cover every k <= n
 SEARCH_CAP = 8
 ENDPOINT_LEN_CAP = 8
+
+Edges = tuple[tuple[int, int], ...]
 
 
 def catalan(m: int) -> int:
@@ -121,40 +135,40 @@ def _tri_edge_list(n: int, chords: tuple[tuple[int, int], ...]) -> list[tuple[in
 
 
 def _path_candidates(
-    n: int, edges: list[tuple[int, int]], min_len: int, max_len: int
+    n: int, edges: list[tuple[int, int]], max_len: int
 ) -> list[tuple[int, int, int, int, int]]:
-    """Self-avoiding paths of the triangulation as (start, end, length, req, forb).
+    """Self-avoiding paths of the triangulation on 2..max_len vertices,
+    as (length, start, end, req, forb).
 
     ``req`` collects the edge-index bits of consecutive pairs, ``forb``
     those of non-consecutive pairs that are triangulation edges.  Paths
     are produced once each (start < end).
     """
-    eidx: dict[tuple[int, int], int] = {e: i for i, e in enumerate(edges)}
+    # ebit[u][v]: the edge-index bit of edge uv, 0 for a non-edge
+    ebit = [[0] * n for _ in range(n)]
     adj = [0] * n
-    for u, v in edges:
+    for i, (u, v) in enumerate(edges):
+        ebit[u][v] = ebit[v][u] = 1 << i
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     out: list[tuple[int, int, int, int, int]] = []
     path: list[int] = []
 
-    def bit(u: int, v: int) -> int:
-        return 1 << eidx[(u, v) if u < v else (v, u)]
-
     def extend(u: int, pmask: int, req: int, forb: int) -> None:
-        depth = len(path)
+        length = len(path) + 1
         m = adj[u] & ~pmask
         while m:
             low = m & -m
             w = low.bit_length() - 1
             m ^= low
-            nreq = req | bit(u, w)
+            row = ebit[w]
+            nreq = req | row[u]
             nforb = forb
             for v in path[:-1]:
-                if adj[v] >> w & 1:
-                    nforb |= bit(v, w)
-            if depth + 1 >= min_len and w > path[0]:
-                out.append((path[0], w, depth + 1, nreq, nforb))
-            if depth + 1 < max_len:
+                nforb |= row[v]
+            if w > path[0]:
+                out.append((length, path[0], w, nreq, nforb))
+            if length < max_len:
                 path.append(w)
                 extend(w, pmask | low, nreq, nforb)
                 path.pop()
@@ -165,23 +179,16 @@ def _path_candidates(
     return out
 
 
-def _subset_counts(n: int, chords: tuple[tuple[int, int], ...], k: int) -> np.ndarray:
-    """Induced k-path count for every edge subset of one triangulation."""
-    edges = _tri_edge_list(n, chords)
-    subs = np.arange(1 << len(edges), dtype=np.uint32)
-    counts = np.zeros(len(subs), dtype=np.int32)
-    for _, _, length, req, forb in _path_candidates(n, edges, k, k):
-        if length != k:
-            continue
-        ok = (subs & req) == req
-        if forb:
-            ok &= (subs & forb) == 0
-        counts += ok
-    return counts
-
-
 @dataclass(frozen=True)
 class SearchReport:
+    """One (n, k) cell of the exhaustive search.
+
+    ``graphs_scanned`` is Catalan(n-2) * 2^(2n-3), the number of
+    (triangulation, edge subset) pairs the search covers.  Each distinct
+    labeled graph among them is scanned once, under the triangulation that
+    owns its chord set (see :func:`owned_chord_subsets`).
+    """
+
     n: int
     k: int
     max_copies: int
@@ -206,25 +213,154 @@ class SearchReport:
         return out
 
 
-def _scan_chunk(args: tuple[int, int, list[tuple[tuple[int, int], ...]]]) -> tuple[int, set[str]]:
-    n, k, chunk = args
-    best = -1
-    tied: list[tuple[tuple[tuple[int, int], ...], np.ndarray]] = []
-    for chords in chunk:
-        counts = _subset_counts(n, chords, k)
-        local = int(counts.max())
-        if local > best:
-            best = local
-            tied = []
-        if local == best:
-            tied.append((chords, np.flatnonzero(counts == best)))
-    witnesses: set[str] = set()
-    for chords, subset_ids in tied:
+def owned_chord_subsets(n: int) -> Iterator[tuple[Edges, list[Edges]]]:
+    """Each non-crossing chord set of the n-gon once, under its owner.
+
+    The owner of a chord set is the first triangulation, in
+    :func:`triangulation_chord_sets` order, that contains it.  Yields
+    ``(chords, owned)`` for every triangulation, where ``owned`` lists the
+    chord subsets it owns in ascending subset-mask order.  The owned sets
+    are the dissections of the n-gon, counted by the little Schroeder
+    numbers (OEIS A001003).
+    """
+    seen: set[Edges] = set()
+    for chords in triangulation_chord_sets(n):
+        owned = []
+        for sub in range(1 << len(chords)):
+            key = tuple(chords[i] for i in range(len(chords)) if sub >> i & 1)
+            if key not in seen:
+                seen.add(key)
+                owned.append(key)
+        yield chords, owned
+
+
+# Subset columns scanned at once; bounds the (candidates x columns) blocks.
+_COLUMNS = 1024
+
+
+def _sweep_block(args) -> tuple[list[int], list[list[Edges]], np.ndarray]:
+    """Scan the graphs a block of triangulations owns, for every path length.
+
+    Returns, per length m, the most induced m-paths in one graph and the
+    edge lists of the graphs that have that many, and the endpoint census
+    ``[x*n+y, m]``: the most induced m-paths between x and y in one graph.
+    """
+    n, block = args
+    max_len = min(n, ENDPOINT_LEN_CAP)
+    best = [-1] * (max_len + 1)
+    tied: list[list[tuple[list[tuple[int, int]], np.ndarray]]] = [[] for _ in range(max_len + 1)]
+    pair_maxima = np.zeros((n * n, max_len + 1), dtype=np.int32)
+    for chords, owned in block:
         edges = _tri_edge_list(n, chords)
-        for sid in subset_ids:
-            g = Graph(n, [edges[i] for i in range(len(edges)) if sid >> i & 1])
-            witnesses.add(canonical_form(g).decode("ascii"))
-    return best, witnesses
+        bit = {e: 1 << i for i, e in enumerate(edges)}
+        every = np.arange(1 << len(edges), dtype=np.uint32)
+        chord_mask = sum(bit[c] for c in chords)
+        subs = every[np.isin(every & chord_mask, [sum(bit[c] for c in sub) for sub in owned])]
+
+        # Candidates sorted by (length, x, y) form one group per pair and
+        # length, whose rows sum to the pair's count; the groups of one
+        # length sum to the total.  Every length occurs: the outer cycle
+        # holds a path on each number of vertices.
+        cands = sorted(_path_candidates(n, edges, max_len))
+        mask = np.array([c[3] | c[4] for c in cands], dtype=np.uint32)
+        req = np.array([c[3] for c in cands], dtype=np.uint32)
+        starts = [i for i in range(len(cands)) if i == 0 or cands[i][:3] != cands[i - 1][:3]]
+        groups = list(zip(starts, starts[1:] + [len(cands)]))
+        group_len = [cands[i][0] for i in starts]
+        group_pair = [cands[i][1] * n + cands[i][2] for i in starts]
+        by_len = [
+            (m, bisect_left(group_len, m), bisect_right(group_len, m)) for m in range(2, max_len + 1)
+        ]
+
+        for lo in range(0, len(subs), _COLUMNS):
+            cols = subs[lo : lo + _COLUMNS]
+            ok = ((cols & mask[:, None]) == req[:, None]).view(np.uint8)
+            # int16 holds any count: a triangulation on n <= SEARCH_CAP
+            # vertices has far fewer than 2^15 paths
+            counts = np.empty((len(groups), len(cols)), dtype=np.int16)
+            for g, (a, b) in enumerate(groups):
+                np.add.reduce(ok[a:b], axis=0, dtype=np.int16, out=counts[g])
+            prior = pair_maxima[group_pair, group_len]
+            pair_maxima[group_pair, group_len] = np.maximum(prior, counts.max(axis=1))
+            for m, a, b in by_len:
+                totals = counts[a:b].sum(axis=0, dtype=np.int32)
+                local = int(totals.max())
+                if local > best[m]:
+                    best[m] = local
+                    tied[m] = []
+                if local == best[m]:
+                    tied[m].append((edges, cols[totals == local]))
+
+    witnesses = [
+        [
+            tuple(e for i, e in enumerate(edges) if sid >> i & 1)
+            for edges, sids in tied[m]
+            for sid in sids.tolist()
+        ]
+        for m in range(max_len + 1)
+    ]
+    return best, witnesses, pair_maxima
+
+
+def _dihedral_min(n: int, edges: Edges) -> Edges:
+    """Least sorted edge list among the 2n rotations and reflections of the cycle 0..n-1."""
+    images = []
+    for r in range(n):
+        for sign in (1, -1):
+            image = (((r + sign * u) % n, (r + sign * v) % n) for u, v in edges)
+            images.append(tuple(sorted((u, v) if u < v else (v, u) for u, v in image)))
+    return min(images)
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """One pass over every n-vertex outerplanar graph, for every path length m.
+
+    ``best[m]`` is the most induced m-paths in one graph; ``classes[m]``
+    holds one graph per rotation/reflection class of the maximisers;
+    ``pair_maxima`` is the read-only endpoint census.
+    """
+
+    best: tuple[int, ...]
+    classes: tuple[tuple[Graph, ...], ...]
+    pair_maxima: np.ndarray
+
+
+# Keyed on the worker count as well as n: check_parallel_determinism and the
+# worker-count tests compare sweeps made with different worker counts, and a
+# cache on n alone would hand them one shared result.
+_sweep_cache: dict[tuple[int, int], _Sweep] = {}
+
+
+def _sweep(n: int, jobs: int) -> _Sweep:
+    """The sweep for n, run once per (n, jobs) in a process.
+
+    Every labeled outerplanar graph whose outer cycle lies on 0..n-1 is a
+    subset of the cycle edges plus a chord set, and is scanned under the
+    triangulation that owns the chord set.  Blocks of contiguous
+    triangulations are scanned independently and reduced by max and
+    union, which does not depend on how the stream is split.
+    """
+    key = (n, jobs)
+    if key in _sweep_cache:
+        return _sweep_cache[key]
+    stream = list(owned_chord_subsets(n))
+    expected = catalan(n - 2)
+    if len(stream) != expected:
+        raise RuntimeError(f"triangulation count {len(stream)} != Catalan {expected}")
+    parts = _pool_map(_sweep_block, [(n, c) for c in _chunked(stream, jobs)], jobs)
+    max_len = min(n, ENDPOINT_LEN_CAP)
+    best = [max(p[0][m] for p in parts) for m in range(max_len + 1)]
+    classes = []
+    for m in range(max_len + 1):
+        reps = {_dihedral_min(n, edges) for p in parts if p[0][m] == best[m] for edges in p[1][m]}
+        classes.append(tuple(Graph(n, rep) for rep in sorted(reps)))
+    pair_maxima = parts[0][2]
+    for p in parts[1:]:
+        np.maximum(pair_maxima, p[2], out=pair_maxima)
+    pair_maxima.flags.writeable = False
+    _sweep_cache[key] = _Sweep(tuple(best), tuple(classes), pair_maxima)
+    return _sweep_cache[key]
 
 
 def _chunked(items: list, jobs: int) -> list[list]:
@@ -243,8 +379,9 @@ def _pool_map(fn, args_list: list, jobs: int) -> list:
 def extremal_value(n: int, k: int, jobs: int = 1) -> SearchReport:
     """Exact maximum induced k-path count over all n-vertex outerplanar graphs.
 
-    Scans every edge subset of every triangulation; witnesses are the
-    canonical forms (graph6) of all maximizing graphs.
+    Reads the sweep for n; witnesses are the canonical forms (graph6) of
+    all maximizing graphs, canonicalised once per rotation/reflection
+    class of the outer cycle.
     """
     if not 3 <= n <= SEARCH_CAP:
         raise UnsupportedSizeError(f"extremal search supports 3 <= n <= {SEARCH_CAP}")
@@ -252,64 +389,29 @@ def extremal_value(n: int, k: int, jobs: int = 1) -> SearchReport:
         # k = 1 is degenerate: every n-vertex graph has exactly n copies
         raise ValueError(f"k must be in 2..{n}, got {k}")
     start = time.perf_counter()
-    tris = list(triangulation_chord_sets(n))
-    expected = catalan(n - 2)
-    if len(tris) != expected:
-        raise RuntimeError(f"triangulation count {len(tris)} != Catalan {expected}")
-    results = _pool_map(_scan_chunk, [(n, k, c) for c in _chunked(tris, jobs)], jobs)
-    best = max(r[0] for r in results)
-    witnesses: set[str] = set()
-    for local, wit in results:
-        if local == best:
-            witnesses |= wit
+    sweep = _sweep(n, jobs)
+    witnesses = {canonical_form(g).decode("ascii") for g in sweep.classes[k]}
+    triangulations = catalan(n - 2)
     return SearchReport(
         n=n,
         k=k,
-        max_copies=best,
+        max_copies=sweep.best[k],
         witnesses=tuple(sorted(witnesses)),
-        graphs_scanned=expected * (1 << (2 * n - 3)),
-        triangulations=expected,
+        graphs_scanned=triangulations * (1 << (2 * n - 3)),
+        triangulations=triangulations,
         elapsed=time.perf_counter() - start,
     )
 
 
-# -- endpoint-pair census ------------------------------------------------------
-
-
-def _census_chunk(args: tuple[int, int, list[tuple[tuple[int, int], ...]]]) -> np.ndarray:
-    n, max_len, chunk = args
-    maxima = np.zeros((n * n, max_len + 1), dtype=np.int32)
-    for chords in chunk:
-        edges = _tri_edge_list(n, chords)
-        counts = np.zeros((n * n, max_len + 1, 1 << len(edges)), dtype=np.int16)
-        subs = np.arange(1 << len(edges), dtype=np.uint32)
-        for s, e, length, req, forb in _path_candidates(n, edges, 2, max_len):
-            ok = (subs & req) == req
-            if forb:
-                ok &= (subs & forb) == 0
-            counts[s * n + e, length] += ok
-        np.maximum(maxima, counts.max(axis=2), out=maxima)
-    return maxima
-
-
-_census_cache: dict[int, np.ndarray] = {}
-
-
 def endpoint_pair_maxima(n: int, jobs: int = 1) -> np.ndarray:
     """max over all outerplanar graphs and pairs x<y of the induced m-path
-    count between x and y, indexed [x*n+y, m] for m <= min(n, 8)."""
+    count between x and y, indexed [x*n+y, m] for m <= min(n, 8).
+
+    The array is shared with later calls and is read-only.
+    """
     if not 3 <= n <= SEARCH_CAP:
         raise UnsupportedSizeError(f"endpoint census supports 3 <= n <= {SEARCH_CAP}")
-    if n in _census_cache:
-        return _census_cache[n]
-    max_len = min(n, ENDPOINT_LEN_CAP)
-    tris = list(triangulation_chord_sets(n))
-    parts = _pool_map(_census_chunk, [(n, max_len, c) for c in _chunked(tris, jobs)], jobs)
-    maxima = parts[0]
-    for p in parts[1:]:
-        np.maximum(maxima, p, out=maxima)
-    _census_cache[n] = maxima
-    return maxima
+    return _sweep(n, jobs).pair_maxima
 
 
 def verify_fib_bounds(n: int, k: int, jobs: int = 1) -> bool:

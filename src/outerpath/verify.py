@@ -40,6 +40,7 @@ from .search import (
     catalan,
     endpoint_pair_maxima,
     extremal_value,
+    owned_chord_subsets,
     random_outerplanar,
     triangulation_chord_sets,
 )
@@ -92,14 +93,9 @@ def two_connected_corpus(n: int) -> Iterator[tuple[Graph, OuterEmbedding]]:
     """Distinct labeled 2-connected outerplanar graphs: full cycle + chords."""
     cyc = [(i, (i + 1) % n) for i in range(n)]
     emb = OuterEmbedding.identity(n)
-    seen: set[tuple] = set()
-    for chords in triangulation_chord_sets(n):
-        for sub in range(1 << len(chords)):
-            key = tuple(chords[i] for i in range(len(chords)) if sub >> i & 1)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield Graph(n, cyc + list(key)), emb
+    for _, owned in owned_chord_subsets(n):
+        for chords in owned:
+            yield Graph(n, cyc + list(chords)), emb
 
 
 def random_bounded_degree_tree(n: int, k: int, rng: random.Random) -> Tree:
@@ -133,7 +129,8 @@ def random_bounded_degree_tree(n: int, k: int, rng: random.Random) -> Tree:
         else:
             available.append(v)
             m += 1
-    return Tree(n, tuple(zip(parents, range(1, n))))
+    # each node attaches to one placed before it, so this is a tree
+    return Tree._unchecked(n, tuple(zip(parents, range(1, n))))
 
 
 def _star(n: int) -> Graph:

@@ -167,6 +167,14 @@ class TestTreeEdgeCutCheck:
                 assert verify.random_bounded_degree_tree(n, k, rng).edges == expected.edges
                 assert rng.getstate() == ref_rng.getstate()
 
+    def test_generator_output_passes_the_public_checks(self):
+        # the generator builds its trees without Tree's validation
+        for n in (1, 2, 50, 2000):
+            for k in range(3, 9):
+                t = verify.random_bounded_degree_tree(n, k, random.Random(31 * n + k))
+                assert Tree(t.n, t.edges) == t
+                assert t.max_degree() <= k
+
     def test_recount_accepts_only_tree_edges_as_parent_child(self):
         assert verify._cut_is_balanced(path_tree(7), 3, (2, 3))
         assert verify._cut_is_balanced(path_tree(7), 3, (3, 4))

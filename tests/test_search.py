@@ -1,6 +1,8 @@
+import json
 import random
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -19,11 +21,16 @@ from outerpath import (
     from_graph6,
     is_outerplanar,
     random_outerplanar,
+    search,
     triangulation_chord_sets,
     verify_fib_bounds,
 )
+from outerpath.search import owned_chord_subsets
 
 from helpers import brute_count_induced_paths
+
+# Results recorded by the benchmark; read here, never written.
+SEARCH_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "search.json"
 
 
 class TestTriangulations:
@@ -47,6 +54,37 @@ class TestTriangulations:
             list(triangulation_chord_sets(2))
         with pytest.raises(ValueError):
             list(triangulation_chord_sets(17))
+
+
+def crosses(a, b):
+    (i, j), (k, l) = a, b
+    return i < k < j < l or k < i < l < j
+
+
+class TestOwnedChordSubsets:
+    def test_counts_are_little_schroeder_numbers(self):
+        # OEIS A001003: dissections of the n-gon by non-crossing diagonals
+        little_schroeder = [1, 3, 11, 45, 197, 903, 4279, 20793]
+        for n, expected in zip(range(3, 11), little_schroeder):
+            owned = [sub for _, subs in owned_chord_subsets(n) for sub in subs]
+            assert len(owned) == expected
+            assert len(set(owned)) == expected
+
+    def test_each_dissection_once_under_the_first_triangulation_holding_it(self):
+        for n in range(3, 8):
+            diagonals = [(i, j) for i in range(n) for j in range(i + 2, n) if (i, j) != (0, n - 1)]
+            dissections = set()
+            for mask in range(1 << len(diagonals)):
+                chosen = [d for i, d in enumerate(diagonals) if mask >> i & 1]
+                if not any(crosses(a, b) for a, b in combinations(chosen, 2)):
+                    dissections.add(tuple(chosen))
+            stream = list(owned_chord_subsets(n))
+            owned = [sub for _, subs in stream for sub in subs]
+            assert sorted(owned) == sorted(dissections)
+            for t, (chords, subs) in enumerate(stream):
+                for sub in subs:
+                    assert set(sub) <= set(chords)
+                    assert not any(set(sub) <= set(earlier) for earlier, _ in stream[:t])
 
 
 class TestEnumerateOuterplanar:
@@ -142,6 +180,43 @@ class TestExtremalValue:
             other = extremal_value(6, 3, jobs=jobs)
             assert other.to_json_dict() == base.to_json_dict()
 
+    def test_one_sweep_per_worker_count(self, monkeypatch):
+        # the cache must not let a worker-count comparison read one sweep
+        # three times
+        sweeps = []
+        stream = search.owned_chord_subsets
+
+        def counted(n):
+            sweeps.append(n)
+            return stream(n)
+
+        monkeypatch.setattr(search, "_sweep_cache", {})
+        monkeypatch.setattr(search, "owned_chord_subsets", counted)
+        for jobs in (1, 2, 8):
+            for k in (3, 4):
+                extremal_value(6, k, jobs=jobs)
+            endpoint_pair_maxima(6, jobs=jobs)
+        assert sweeps == [6, 6, 6]
+
+    def test_class_representatives_give_every_witness(self):
+        # canonicalising one graph per rotation/reflection class gives the
+        # same witnesses as canonicalising every maximising labeled graph
+        for n in range(4, 8):
+            best, tied, _ = search._sweep_block((n, list(owned_chord_subsets(n))))
+            for k in range(2, n + 1):
+                every = {canonical_form(Graph(n, edges)).decode() for edges in tied[k]}
+                report = extremal_value(n, k)
+                assert report.max_copies == best[k]
+                assert report.witnesses == tuple(sorted(every))
+
+    def test_matches_recorded_reference(self):
+        ref = json.loads(SEARCH_REFERENCE.read_text())
+        for n in range(4, 8):
+            for k in range(2, n + 1):
+                assert extremal_value(n, k).to_json_dict() == ref["cells"][f"{n},{k}"]
+        for n in range(3, 8):
+            assert endpoint_pair_maxima(n).tolist() == ref["census"][str(n)]
+
 
 class TestEndpointCensus:
     def test_matches_direct_counting_on_samples(self):
@@ -176,6 +251,13 @@ class TestEndpointCensus:
         assert verify_fib_bounds(7, 1)
         assert verify_fib_bounds(8, 4)
 
+    def test_census_is_read_only(self):
+        maxima = endpoint_pair_maxima(5)
+        before = int(maxima[2, 3])
+        with pytest.raises(ValueError):
+            maxima[2, 3] = 99
+        assert int(endpoint_pair_maxima(5)[2, 3]) == before
+
     def test_pair_counts_stay_under_fib(self):
         for n in range(3, 9):
             maxima = endpoint_pair_maxima(n)
@@ -186,7 +268,9 @@ class TestEndpointCensus:
 class TestBruteForceAgreement:
     def test_extremal_against_brute_maximum_n5(self):
         for k in (3, 4):
-            best = 0
-            for g in enumerate_outerplanar(5):
-                best = max(best, brute_count_induced_paths(g, k))
-            assert best == extremal_value(5, k).max_copies
+            counts = {g: brute_count_induced_paths(g, k) for g in enumerate_outerplanar(5)}
+            best = max(counts.values())
+            witnesses = {canonical_form(g).decode() for g, c in counts.items() if c == best}
+            report = extremal_value(5, k)
+            assert best == report.max_copies
+            assert tuple(sorted(witnesses)) == report.witnesses
