@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import Graph
-from .outerplanar import OuterEmbedding, verify_embedding
+from .outerplanar import OuterEmbedding, outer_cycle, verify_embedding
 
 KINDS = ("star", "cycle", "cycle_pendant", "c6_chord", "g_t", "g_t_prime", "double_star")
 
@@ -51,25 +51,8 @@ def _gt_core(t: int) -> tuple[Graph, list[int]]:
     g = Graph(2 * t - 2, edges)
     if t == 2:
         return g, [0, 1]
-    # The outer cycle uses both path ends, every y vertex, and nothing else;
-    # walking it from x_1 toward x_2 gives the embedding order.
-    cycle_adj: dict[int, list[int]] = {v: [] for v in range(g.n)}
-
-    def link(u, v):
-        cycle_adj[u].append(v)
-        cycle_adj[v].append(u)
-
-    link(0, 1)
-    link(t - 2, t - 1)
-    for i in range(1, t - 1):
-        y = t - 1 + i
-        link(i - 1, y)
-        link(y, i + 1)
-    order = [0, 1]
-    while len(order) < g.n:
-        a, b = cycle_adj[order[-1]]
-        order.append(b if a == order[-2] else a)
-    return g, order
+    # outer_cycle starts at x_1 and goes on to its smaller neighbour, x_2
+    return g, list(outer_cycle(g).order)
 
 
 def build(spec: ConstructionSpec) -> tuple[Graph, OuterEmbedding]:

@@ -10,7 +10,7 @@ is scanned once; the owned chord sets are the dissections of the n-gon,
 little-Schroeder(n) of them.
 
 One sweep per n scans, with numpy, every subset a triangulation owns
-against every path of that triangulation on 2..min(n, 8) vertices: a
+against every path of that triangulation on 2..n vertices: a
 candidate vertex sequence is an induced path of the subset graph iff its
 consecutive pairs are all present and its other triangulation pairs are
 all absent, which is one mask comparison against all subsets at once.
@@ -41,9 +41,7 @@ from .constructions import fib
 from .graph import Graph, UnsupportedSizeError, canonical_form
 
 TRIANGULATION_CAP = 16
-# SEARCH_CAP <= ENDPOINT_LEN_CAP, so the sweep's path lengths cover every k <= n
 SEARCH_CAP = 8
-ENDPOINT_LEN_CAP = 8
 
 Edges = tuple[tuple[int, int], ...]
 
@@ -87,23 +85,18 @@ def enumerate_triangulations(n: int) -> Iterator[Graph]:
         yield Graph(n, cycle + list(chords))
 
 
-def enumerate_outerplanar(n: int, dedup: bool = False) -> Iterator[Graph]:
-    """Every edge subset of every triangulation; with ``dedup``, one graph per class."""
-    if not 3 <= n <= TRIANGULATION_CAP:
-        raise ValueError(f"enumeration supports 3 <= n <= {TRIANGULATION_CAP}")
-    if dedup and n > SEARCH_CAP:
-        raise UnsupportedSizeError(f"dedup enumeration is capped at n <= {SEARCH_CAP}")
-    seen: set[bytes] = set()
-    for chords in triangulation_chord_sets(n):
-        edges = sorted(_cycle_edges(n) + list(chords))
-        for subset in range(1 << len(edges)):
-            g = Graph(n, [edges[i] for i in range(len(edges)) if subset >> i & 1])
-            if dedup:
-                key = canonical_form(g)
-                if key in seen:
-                    continue
-                seen.add(key)
-            yield g
+def enumerate_outerplanar(n: int) -> Iterator[Graph]:
+    """Every edge subset of a triangulation of the n-gon 0..n-1, each graph once.
+
+    Each graph is a dissection of the n-gon (a chord set of
+    :func:`owned_chord_subsets`) plus a subset of the n cycle edges:
+    little-Schroeder(n) * 2^n graphs.
+    """
+    cycle = _cycle_edges(n)
+    for _, owned in owned_chord_subsets(n):
+        for chords in owned:
+            for subset in range(1 << n):
+                yield Graph(n, [e for i, e in enumerate(cycle) if subset >> i & 1] + list(chords))
 
 
 def random_outerplanar(n: int, rng: random.Random) -> Graph:
@@ -246,10 +239,9 @@ def _sweep_block(args) -> tuple[list[int], list[list[Edges]], np.ndarray]:
     ``[x*n+y, m]``: the most induced m-paths between x and y in one graph.
     """
     n, block = args
-    max_len = min(n, ENDPOINT_LEN_CAP)
-    best = [-1] * (max_len + 1)
-    tied: list[list[tuple[list[tuple[int, int]], np.ndarray]]] = [[] for _ in range(max_len + 1)]
-    pair_maxima = np.zeros((n * n, max_len + 1), dtype=np.int32)
+    best = [-1] * (n + 1)
+    tied: list[list[tuple[list[tuple[int, int]], np.ndarray]]] = [[] for _ in range(n + 1)]
+    pair_maxima = np.zeros((n * n, n + 1), dtype=np.int32)
     for chords, owned in block:
         edges = _tri_edge_list(n, chords)
         bit = {e: 1 << i for i, e in enumerate(edges)}
@@ -261,7 +253,7 @@ def _sweep_block(args) -> tuple[list[int], list[list[Edges]], np.ndarray]:
         # length, whose rows sum to the pair's count; the groups of one
         # length sum to the total.  Every length occurs: the outer cycle
         # holds a path on each number of vertices.
-        cands = sorted(_path_candidates(n, edges, max_len))
+        cands = sorted(_path_candidates(n, edges, n))
         mask = np.array([c[3] | c[4] for c in cands], dtype=np.uint32)
         req = np.array([c[3] for c in cands], dtype=np.uint32)
         starts = [i for i in range(len(cands)) if i == 0 or cands[i][:3] != cands[i - 1][:3]]
@@ -269,7 +261,7 @@ def _sweep_block(args) -> tuple[list[int], list[list[Edges]], np.ndarray]:
         group_len = [cands[i][0] for i in starts]
         group_pair = [cands[i][1] * n + cands[i][2] for i in starts]
         by_len = [
-            (m, bisect_left(group_len, m), bisect_right(group_len, m)) for m in range(2, max_len + 1)
+            (m, bisect_left(group_len, m), bisect_right(group_len, m)) for m in range(2, n + 1)
         ]
 
         for lo in range(0, len(subs), _COLUMNS):
@@ -297,7 +289,7 @@ def _sweep_block(args) -> tuple[list[int], list[list[Edges]], np.ndarray]:
             for edges, sids in tied[m]
             for sid in sids.tolist()
         ]
-        for m in range(max_len + 1)
+        for m in range(n + 1)
     ]
     return best, witnesses, pair_maxima
 
@@ -349,10 +341,9 @@ def _sweep(n: int, jobs: int) -> _Sweep:
     if len(stream) != expected:
         raise RuntimeError(f"triangulation count {len(stream)} != Catalan {expected}")
     parts = _pool_map(_sweep_block, [(n, c) for c in _chunked(stream, jobs)], jobs)
-    max_len = min(n, ENDPOINT_LEN_CAP)
-    best = [max(p[0][m] for p in parts) for m in range(max_len + 1)]
+    best = [max(p[0][m] for p in parts) for m in range(n + 1)]
     classes = []
-    for m in range(max_len + 1):
+    for m in range(n + 1):
         reps = {_dihedral_min(n, edges) for p in parts if p[0][m] == best[m] for edges in p[1][m]}
         classes.append(tuple(Graph(n, rep) for rep in sorted(reps)))
     pair_maxima = parts[0][2]
@@ -405,7 +396,7 @@ def extremal_value(n: int, k: int, jobs: int = 1) -> SearchReport:
 
 def endpoint_pair_maxima(n: int, jobs: int = 1) -> np.ndarray:
     """max over all outerplanar graphs and pairs x<y of the induced m-path
-    count between x and y, indexed [x*n+y, m] for m <= min(n, 8).
+    count between x and y, indexed [x*n+y, m] for m <= n.
 
     The array is shared with later calls and is read-only.
     """
@@ -420,8 +411,7 @@ def verify_fib_bounds(n: int, k: int, jobs: int = 1) -> bool:
     if not 1 <= k < n:
         raise ValueError(f"k must be in 1..{n - 1}, got {k}")
     maxima = endpoint_pair_maxima(n, jobs=jobs)
-    if k + 1 <= min(n, ENDPOINT_LEN_CAP):
-        if int(maxima[:, k + 1].max()) > fib(k + 1):
-            return False
+    if int(maxima[:, k + 1].max()) > fib(k + 1):
+        return False
     report = extremal_value(n, k + 1, jobs=jobs)
     return report.max_copies <= fib(k + 1) * comb(n, 2)

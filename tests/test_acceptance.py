@@ -104,7 +104,7 @@ def test_criterion_04_endpoint_bound():
     # class-complete sweep for every n <= 8 via the subset census
     for n in range(3, 9):
         maxima = endpoint_pair_maxima(n)
-        for m in range(2, min(n, 8) + 1):
+        for m in range(2, n + 1):
             observed = int(maxima[:, m].max())
             worst[m] = max(worst.get(m, 0), observed)
             if observed > fib(m):

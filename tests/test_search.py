@@ -98,8 +98,8 @@ class TestEnumerateOuterplanar:
 
     def test_dedup_class_counts_frozen_from_brute_force(self):
         # oracle: enumerate all labeled n-vertex graphs, filter, dedup
-        assert sum(1 for _ in enumerate_outerplanar(4, dedup=True)) == 10
-        assert sum(1 for _ in enumerate_outerplanar(5, dedup=True)) == 25
+        assert len({canonical_form(g) for g in enumerate_outerplanar(4)}) == 10
+        assert len({canonical_form(g) for g in enumerate_outerplanar(5)}) == 25
 
     def test_dedup_agrees_with_brute_force_filter(self):
         for n in (4, 5):
@@ -109,8 +109,26 @@ class TestEnumerateOuterplanar:
                 g = Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
                 if is_outerplanar(g):
                     brute.add(canonical_form(g))
-            mine = {canonical_form(g) for g in enumerate_outerplanar(n, dedup=True)}
+            mine = {canonical_form(g) for g in enumerate_outerplanar(n)}
             assert mine == brute
+
+    def test_each_triangulation_subset_once(self):
+        # little Schroeder number S(n) dissections, each with 2^n cycle-edge subsets
+        for n, little_schroeder in zip(range(3, 7), (1, 3, 11, 45)):
+            graphs = list(enumerate_outerplanar(n))
+            assert len(graphs) == little_schroeder * 2**n
+            assert len(set(graphs)) == len(graphs)
+            subsets = set()
+            for tri in enumerate_triangulations(n):
+                edges = list(tri.edges())
+                for mask in range(1 << len(edges)):
+                    subsets.add(Graph(n, [e for i, e in enumerate(edges) if mask >> i & 1]))
+            assert set(graphs) == subsets
+
+    def test_range_checked(self):
+        for n in (2, 17):
+            with pytest.raises(ValueError):
+                list(enumerate_outerplanar(n))
 
     def test_soundness_spot_check(self):
         rng = random.Random(2020)
@@ -261,7 +279,7 @@ class TestEndpointCensus:
     def test_pair_counts_stay_under_fib(self):
         for n in range(3, 9):
             maxima = endpoint_pair_maxima(n)
-            for m in range(2, min(n, 8) + 1):
+            for m in range(2, n + 1):
                 assert int(maxima[:, m].max()) <= fib(m)
 
 

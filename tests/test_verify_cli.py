@@ -1,9 +1,15 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import outerpath
 from outerpath.cli import main
-from outerpath.verify import run_verify
+from outerpath.verify import ALL_CHECKS, CheckResult, check_fibonacci_recurrence, run_verify
+
+# Report recorded by the benchmark; read here, never written.
+VERIFY_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "verify-paper.json"
 
 
 def run_cli(capsys, *argv):
@@ -132,6 +138,14 @@ class TestVerifyPaper:
         assert set(check) == {"name", "paper_ref", "status", "observed", "expected", "elapsed"}
         assert check["elapsed"] is None  # no timestamps without --timing
 
+    def test_timing_reports_elapsed_seconds(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify-paper", "--only", "fibonacci", "--jobs", "1", "--timing"
+        )
+        assert code == 0
+        elapsed = json.loads(out)["checks"][0]["elapsed"]
+        assert isinstance(elapsed, float) and elapsed >= 0
+
     def test_unknown_filter_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify-paper", "--only", "zzz", "--jobs", "1")
         assert code == 2
@@ -157,10 +171,14 @@ class TestVerifyPaper:
 
 
 def test_entry_point_runs_as_module():
+    # the child imports the package this test imported, installed or not
+    src = str(Path(outerpath.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "outerpath.cli", "count", "--kind", "star", "--n", "5", "--k", "3"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["copies"] == 6
@@ -169,3 +187,17 @@ def test_entry_point_runs_as_module():
 def test_run_verify_library_surface():
     report = run_verify(only="p3-oracle", jobs=1)
     assert len(report.checks) == 1 and report.all_passed
+
+
+def test_registry_names_match_the_recorded_report():
+    names = [name for name, _ in ALL_CHECKS]
+    recorded = json.loads(VERIFY_REFERENCE.read_text())["checks"]
+    assert len(set(names)) == len(names)
+    assert names == [check["name"] for check in recorded]
+
+
+def test_checks_accept_a_worker_count_they_do_not_use():
+    # the fibonacci body takes no worker count; its registered function does
+    for result in (check_fibonacci_recurrence(), check_fibonacci_recurrence(2)):
+        assert isinstance(result, CheckResult)
+        assert (result.name, result.claim, result.passed) == ("fibonacci-path-recurrence", "C3", True)
