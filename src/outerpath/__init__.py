@@ -7,6 +7,7 @@ from .graph import (
     UnsupportedSizeError,
     VertexSet,
     bits,
+    blocks,
     canonical_form,
     cut_vertices,
     induced_subgraph,

@@ -6,7 +6,8 @@ each endpoint, the neighbors on that side (s1, p1, t1, q1) and the induced
 3-vertex paths from the endpoint that avoid the other endpoint (s2, p2,
 t2, q2), and partitions the side interior into the classes A, B1, B2, D1,
 D2 driven by where the endpoint neighborhoods sit along the arc.  phi
-counts the induced paths that touch the strict interior of both sides.
+counts the induced 4-vertex paths (P4s) that touch the strict interior of
+both sides.
 
 The class definitions, in arc order from x to y (x's side-neighbors at
 positions i_1 < ... < i_s1, y's at j_1 < ... < j_p1, with j_1 >= i_s1
@@ -17,7 +18,12 @@ forced by non-crossing):
 * B1: x-neighbors having a next x-neighbor with no common neighbor in the
   gap between them; B2 mirrors this for y-neighbors looking backward.
 * D1: everything from position i_1 to i_s1 not in A or B1; D2 likewise
-  from j_1 to j_p1.  When i_s1 = j_1 that shared vertex lies in both.
+  from j_1 to j_p1.  When i_s1 = j_1 that shared vertex v_ell lies in both.
+
+B2 and D2 are B1 and D1 seen from y, that is, on the arc walked from y to
+x, just as p1 and p2 are s1 and s2 seen from y.  Each rule is therefore
+written once, from the first vertex of an arc, and applied to the arc in
+both directions.
 """
 
 from __future__ import annotations
@@ -25,14 +31,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graph import Graph, is_two_connected, vertex_set
+from .graph import Graph, VertexSet, bits, is_two_connected, vertex_set
 from .outerplanar import OuterEmbedding, verify_embedding
 from .paths import iter_induced_paths
 
 
 @dataclass(frozen=True)
 class SidePartition:
-    """One side's counts, classes and special vertices (host labels)."""
+    """One side's counts, classes and shared vertex v_ell (host labels)."""
 
     x: int
     y: int
@@ -49,8 +55,6 @@ class SidePartition:
     d1_set: frozenset[int]
     d2_set: frozenset[int]
     v_ell: int | None
-    v_x_candidates: tuple[int, ...]
-    v_y_candidates: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -76,11 +80,7 @@ class ChordStats:
     d1_prime: int
     d2_prime: int
     has_v_ell: bool
-    has_v_x: bool
-    has_v_y: bool
     has_v_ell_prime: bool
-    has_v_x_prime: bool
-    has_v_y_prime: bool
 
     @property
     def six_product_bound(self) -> int:
@@ -114,92 +114,55 @@ def _check_instance(g: Graph, emb: OuterEmbedding, chord: tuple[int, int]) -> No
     _check_graph(g, emb)
 
 
-def _side_sequences(g: Graph, emb: OuterEmbedding, chord: tuple[int, int]) -> tuple[list[int], list[int]]:
+def _side_sequences(emb: OuterEmbedding, chord: tuple[int, int]) -> tuple[list[int], list[int]]:
     """Both side arcs listed from x to y; the second side is mirrored."""
     x, y = chord
-    pos = emb.positions()
-    n = g.n
-    forward = []
-    i = pos[x]
-    while True:
-        forward.append(emb.order[i])
-        if i == pos[y]:
-            break
-        i = (i + 1) % n
-    backward = []
-    i = pos[x]
-    while True:
-        backward.append(emb.order[i])
-        if i == pos[y]:
-            break
-        i = (i - 1) % n
-    return forward, backward
+    i = emb.order.index(x)
+    ring = list(emb.order[i:] + emb.order[:i])
+    j = ring.index(y)
+    return ring[: j + 1], [x] + ring[j:][::-1]
+
+
+def _endpoint_classes(
+    adj: tuple[int, ...], seq: list[int], interior_mask: VertexSet, a_set: set[int]
+) -> tuple[list[int], int, set[int], set[int]]:
+    """Seen from ``seq[0]``: its interior neighbors in arc order, its induced
+    3-vertex paths into the interior, and its B and D classes.
+
+    Called on the reversed arc it gives the same four for ``seq[-1]``.
+    """
+    e = seq[0]
+    at = [i for i in range(1, len(seq) - 1) if adj[e] >> seq[i] & 1]
+    nbrs = [seq[i] for i in at]
+    paths = sum((adj[c] & interior_mask & ~adj[e]).bit_count() for c in nbrs)
+    b_set = {
+        seq[i]
+        for i, j in zip(at, at[1:])
+        if not adj[seq[i]] & adj[seq[j]] & vertex_set(seq[i + 1 : j])
+    }
+    d_set = set(seq[at[0] : at[-1] + 1]) - a_set - b_set if at else set()
+    return nbrs, paths, b_set, d_set
 
 
 def _partition_side(g: Graph, seq: list[int]) -> SidePartition:
     x, y = seq[0], seq[-1]
-    interior = seq[1:-1]
-    arc_pos = {v: i for i, v in enumerate(seq)}
-    side_mask = 0
-    for v in seq:
-        side_mask |= 1 << v
-    interior_mask = side_mask & ~(1 << x) & ~(1 << y)
-
     adj = g.adj
-    ox = [v for v in interior if adj[x] >> v & 1]
-    oy = [v for v in interior if adj[y] >> v & 1]
-    ox_mask = sum(1 << v for v in ox)
-    oy_mask = sum(1 << v for v in oy)
+    interior_mask = vertex_set(seq[1:-1])
+    ox_mask = adj[x] & interior_mask
+    oy_mask = adj[y] & interior_mask
+    a_set = {
+        v
+        for v in bits(interior_mask & ~ox_mask & ~oy_mask)
+        if (adj[v] & ox_mask).bit_count() <= 1 and (adj[v] & oy_mask).bit_count() <= 1
+    }
+    ox, s2, b1_set, d1_set = _endpoint_classes(adj, seq, interior_mask, a_set)
+    oy, p2, b2_set, d2_set = _endpoint_classes(adj, seq[::-1], interior_mask, a_set)
+    oy.reverse()
 
     # Non-crossing forces every x-neighbor to precede every y-neighbor on
     # the arc, up to one shared vertex.
-    if ox and oy and arc_pos[oy[0]] < arc_pos[ox[-1]]:
+    if ox and oy and seq.index(oy[0]) < seq.index(ox[-1]):
         raise RuntimeError("endpoint neighborhoods interleave; embedding is inconsistent")
-
-    s1, p1 = len(ox), len(oy)
-    s2 = sum((adj[c] & interior_mask & ~adj[x]).bit_count() for c in ox)
-    p2 = sum((adj[c] & interior_mask & ~adj[y]).bit_count() for c in oy)
-
-    a_set = set()
-    for v in interior:
-        if (ox_mask | oy_mask) >> v & 1:
-            continue
-        if (adj[v] & ox_mask).bit_count() <= 1 and (adj[v] & oy_mask).bit_count() <= 1:
-            a_set.add(v)
-
-    b1_set = set()
-    for c, cnext in zip(ox, ox[1:]):
-        gap = [w for w in interior if arc_pos[c] < arc_pos[w] < arc_pos[cnext]]
-        if not any(adj[c] >> w & 1 and adj[cnext] >> w & 1 for w in gap):
-            b1_set.add(c)
-    b2_set = set()
-    for cprev, c in zip(oy, oy[1:]):
-        gap = [w for w in interior if arc_pos[cprev] < arc_pos[w] < arc_pos[c]]
-        if not any(adj[cprev] >> w & 1 and adj[c] >> w & 1 for w in gap):
-            b2_set.add(c)
-
-    d1_set = set()
-    if ox:
-        lo, hi = arc_pos[ox[0]], arc_pos[ox[-1]]
-        d1_set = {v for v in interior if lo <= arc_pos[v] <= hi} - a_set - b1_set
-    d2_set = set()
-    if oy:
-        lo, hi = arc_pos[oy[0]], arc_pos[oy[-1]]
-        d2_set = {v for v in interior if lo <= arc_pos[v] <= hi} - a_set - b2_set
-
-    v_ell = ox[-1] if ox and oy and ox[-1] == oy[0] else None
-    v_x_candidates: tuple[int, ...] = ()
-    if oy:
-        j1 = oy[0]
-        v_x_candidates = tuple(
-            v for v in sorted(b1_set | d1_set) if v != j1 and adj[j1] >> v & 1
-        )
-    v_y_candidates: tuple[int, ...] = ()
-    if ox:
-        i_last = ox[-1]
-        v_y_candidates = tuple(
-            v for v in sorted(b2_set | d2_set) if v != i_last and adj[i_last] >> v & 1
-        )
 
     return SidePartition(
         x=x,
@@ -207,25 +170,23 @@ def _partition_side(g: Graph, seq: list[int]) -> SidePartition:
         seq=tuple(seq),
         ox=tuple(ox),
         oy=tuple(oy),
-        s1=s1,
+        s1=len(ox),
         s2=s2,
-        p1=p1,
+        p1=len(oy),
         p2=p2,
         a_set=frozenset(a_set),
         b1_set=frozenset(b1_set),
         b2_set=frozenset(b2_set),
         d1_set=frozenset(d1_set),
         d2_set=frozenset(d2_set),
-        v_ell=v_ell,
-        v_x_candidates=v_x_candidates,
-        v_y_candidates=v_y_candidates,
+        v_ell=ox[-1] if ox and oy and ox[-1] == oy[0] else None,
     )
 
 
 def side_partition(g: Graph, emb: OuterEmbedding, chord: tuple[int, int], primed: bool = False) -> SidePartition:
     """Partition of one side; ``primed`` selects the mirrored second side."""
     _check_instance(g, emb, chord)
-    forward, backward = _side_sequences(g, emb, chord)
+    forward, backward = _side_sequences(emb, chord)
     return _partition_side(g, backward if primed else forward)
 
 
@@ -252,22 +213,18 @@ def _stats(u: SidePartition, up: SidePartition) -> ChordStats:
         d1_prime=len(up.d1_set),
         d2_prime=len(up.d2_set),
         has_v_ell=u.v_ell is not None,
-        has_v_x=bool(u.v_x_candidates),
-        has_v_y=bool(u.v_y_candidates),
         has_v_ell_prime=up.v_ell is not None,
-        has_v_x_prime=bool(up.v_x_candidates),
-        has_v_y_prime=bool(up.v_y_candidates),
     )
 
 
 def chord_stats(g: Graph, emb: OuterEmbedding, chord: tuple[int, int]) -> ChordStats:
     _check_instance(g, emb, chord)
-    forward, backward = _side_sequences(g, emb, chord)
+    forward, backward = _side_sequences(emb, chord)
     return _stats(_partition_side(g, forward), _partition_side(g, backward))
 
 
-def _path_masks(g: Graph, k: int) -> list[int]:
-    return [vertex_set(path) for path in iter_induced_paths(g, k)] if k <= g.n else []
+def _p4_masks(g: Graph) -> list[int]:
+    return [vertex_set(path) for path in iter_induced_paths(g, 4)] if g.n >= 4 else []
 
 
 def _crossing_count(path_masks: list[int], forward: list[int], backward: list[int]) -> int:
@@ -277,25 +234,25 @@ def _crossing_count(path_masks: list[int], forward: list[int], backward: list[in
     return sum(1 for pmask in path_masks if pmask & u_strict and pmask & up_strict)
 
 
-def phi(g: Graph, emb: OuterEmbedding, chord: tuple[int, int], k: int = 4) -> int:
-    """Induced ``k``-vertex paths meeting the strict interior of both sides."""
+def phi(g: Graph, emb: OuterEmbedding, chord: tuple[int, int]) -> int:
+    """Induced 4-vertex paths meeting the strict interior of both sides."""
     _check_instance(g, emb, chord)
-    return _crossing_count(_path_masks(g, k), *_side_sequences(g, emb, chord))
+    return _crossing_count(_p4_masks(g), *_side_sequences(emb, chord))
 
 
 def chord_instances(
     g: Graph, emb: OuterEmbedding
 ) -> Iterator[tuple[ChordStats, int, tuple[SidePartition, SidePartition]]]:
-    """Stats, phi (k = 4) and both side partitions for every edge of ``g`` as the chord.
+    """Stats, phi and both side partitions for every edge of ``g`` as the chord.
 
     Validates ``g`` and ``emb`` once and enumerates the induced 4-vertex
     paths once, where :func:`chord_stats`, :func:`phi` and
     :func:`side_partition` repeat both for every chord they are given.
     """
     _check_graph(g, emb)
-    path_masks = _path_masks(g, 4)
+    path_masks = _p4_masks(g)
     for chord in g.edges():
-        forward, backward = _side_sequences(g, emb, chord)
+        forward, backward = _side_sequences(emb, chord)
         sides = (_partition_side(g, forward), _partition_side(g, backward))
         yield _stats(*sides), _crossing_count(path_masks, forward, backward), sides
 
@@ -334,9 +291,9 @@ def side_inequalities(stats: ChordStats) -> dict[str, bool]:
 
 def check_crossing_bound(g: Graph, emb: OuterEmbedding, chord: tuple[int, int]) -> bool:
     """Crossing count bounded by the six endpoint-stub products."""
-    return phi(g, emb, chord, 4) <= chord_stats(g, emb, chord).six_product_bound
+    return phi(g, emb, chord) <= chord_stats(g, emb, chord).six_product_bound
 
 
 def check_quadratic_bound(g: Graph, emb: OuterEmbedding, chord: tuple[int, int]) -> bool:
     """Crossing count bounded by n1*n2 + n1 + n2."""
-    return phi(g, emb, chord, 4) <= chord_stats(g, emb, chord).quadratic_bound
+    return phi(g, emb, chord) <= chord_stats(g, emb, chord).quadratic_bound

@@ -138,14 +138,13 @@ def h_count(t: int) -> int:
     return count_induced_paths_between(g, 0, t - 1, t)
 
 
-def lower_bound_value(k: int, n: int, as_floor: bool = False) -> Fraction | int:
-    """fib(k-1) * (n-2k+3)^2 / 4, exact; optionally floored to an int."""
+def lower_bound_value(k: int, n: int) -> Fraction:
+    """fib(k-1) * (n-2k+3)^2 / 4, exact."""
     if k < 2:
         raise ValueError(f"lower_bound_value needs k >= 2, got {k}")
     if n < 2 * k:
         raise ValueError(f"lower_bound_value needs n >= 2k = {2 * k}, got {n}")
-    value = Fraction(fib(k - 1) * (n - 2 * k + 3) ** 2, 4)
-    return int(value) if as_floor else value
+    return Fraction(fib(k - 1) * (n - 2 * k + 3) ** 2, 4)
 
 
 def double_star_p4_count(n: int) -> int:

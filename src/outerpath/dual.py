@@ -225,9 +225,12 @@ def split_by_chord(g: Graph, emb: OuterEmbedding, chord: tuple[int, int]) -> tup
 def side_face_counts(dual: DualTree, cut: tuple[int, int]) -> tuple[int, int]:
     """Face counts of the two components of the dual tree minus ``cut``."""
     i, j = cut
+    edge = (min(i, j), max(i, j))
+    if edge not in dual.edges:
+        raise ValueError(f"({i},{j}) is not an edge of the dual tree")
     neigh: dict[int, list[int]] = {idx: [] for idx in range(len(dual.nodes))}
     for a, b in dual.edges:
-        if (a, b) == (min(i, j), max(i, j)):
+        if (a, b) == edge:
             continue
         neigh[a].append(b)
         neigh[b].append(a)

@@ -161,19 +161,51 @@ def is_connected(g: Graph) -> bool:
     return _component_count(g, g.full_mask) <= 1
 
 
-def cut_vertices(g: Graph) -> VertexSet:
-    """Bitmask of vertices whose removal increases the component count."""
-    base = _component_count(g, g.full_mask)
-    out = 0
+def blocks(g: Graph) -> list[VertexSet]:
+    """Vertex masks of the biconnected components; a bridge is a 2-vertex block.
+
+    Lowpoint depth-first search (Hopcroft and Tarjan 1973; recursion depth
+    is at most n <= 64): a tree edge v-w closes a block when nothing below
+    w reaches above v, and the block is v plus every vertex discovered
+    since w.  Isolated vertices lie in no block.
+    """
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    out = []
+
+    def visit(v: int) -> None:
+        disc[v] = low[v] = len(disc)
+        stack.append(v)
+        for w in bits(g.adj[v]):
+            if w in disc:
+                low[v] = min(low[v], disc[w])
+                continue
+            visit(w)
+            low[v] = min(low[v], low[w])
+            if low[w] >= disc[v]:
+                block = 1 << v
+                while not block >> w & 1:
+                    block |= 1 << stack.pop()
+                out.append(block)
+
     for v in range(g.n):
-        rest = g.full_mask & ~(1 << v)
-        if rest and _component_count(g, rest) > base:
-            out |= 1 << v
+        if v not in disc:
+            visit(v)
     return out
 
 
+def cut_vertices(g: Graph) -> VertexSet:
+    """Bitmask of the vertices lying in two or more blocks."""
+    seen = cut = 0
+    for block in blocks(g):
+        cut |= seen & block
+        seen |= block
+    return cut
+
+
 def is_two_connected(g: Graph) -> bool:
-    return g.n >= 3 and is_connected(g) and cut_vertices(g) == 0
+    return g.n >= 3 and blocks(g) == [g.full_mask]
 
 
 @functools.lru_cache(maxsize=1 << 16)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .graph import Graph, VertexSet, bits, induced_subgraph, is_two_connected
+from .graph import Graph, VertexSet, bits, blocks, induced_subgraph, is_two_connected
 
 
 @dataclass(frozen=True)
@@ -75,40 +75,6 @@ def verify_embedding(g: Graph, emb: OuterEmbedding) -> bool:
 # -- recognition by degree-2 peeling -----------------------------------------
 
 
-def _blocks(g: Graph) -> list[VertexSet]:
-    """Vertex masks of the biconnected components with at least 3 vertices.
-
-    Lowpoint depth-first search (recursion depth is at most n <= 64): a
-    tree edge v-w closes a block when nothing below w reaches above v, and
-    the block is v plus every vertex discovered since w.
-    """
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    stack: list[int] = []
-    blocks = []
-
-    def visit(v: int) -> None:
-        disc[v] = low[v] = len(disc)
-        stack.append(v)
-        for w in bits(g.adj[v]):
-            if w in disc:
-                low[v] = min(low[v], disc[w])
-                continue
-            visit(w)
-            low[v] = min(low[v], low[w])
-            if low[w] >= disc[v]:
-                block = 1 << v
-                while not block >> w & 1:
-                    block |= 1 << stack.pop()
-                if block.bit_count() >= 3:
-                    blocks.append(block)
-
-    for v in range(g.n):
-        if v not in disc:
-            visit(v)
-    return blocks
-
-
 def _peel_cycle(adj: tuple[int, ...], block: VertexSet) -> list[int] | None:
     """Candidate outer cycle of a 2-connected ``block``, or None if stuck.
 
@@ -154,17 +120,19 @@ def _peel_cycle(adj: tuple[int, ...], block: VertexSet) -> list[int] | None:
 
 
 def is_outerplanar(g: Graph) -> bool:
-    """True iff every block of ``g`` has a certified outer cycle.
+    """True iff every block of ``g`` with 3 or more vertices has a certified outer cycle.
 
-    Rejects immediately on the edge bound e > 2n-3.  Otherwise each
-    biconnected component is peeled to a candidate outer cycle, which must
+    Rejects immediately on the edge bound e > 2n-3.  Otherwise each such
+    block is peeled to a candidate outer cycle, which must
     pass :func:`verify_embedding` on the block's induced subgraph, so a
     True answer always rests on a checked embedding.
     """
     n = g.n
     if n >= 2 and g.edge_count() > 2 * n - 3:
         return False
-    for block in _blocks(g):
+    for block in blocks(g):
+        if block.bit_count() < 3:
+            continue
         cycle = _peel_cycle(g.adj, block)
         if cycle is None:
             return False

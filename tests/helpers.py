@@ -53,6 +53,17 @@ def brute_count_between(g: Graph, x: int, y: int, k: int) -> int:
     return count
 
 
+def side_arc(order: tuple[int, ...], chord: tuple[int, int], step: int) -> list[int]:
+    """The arc of the circular ``order`` from x to y, stepping by +1 or -1."""
+    x, y = chord
+    i = order.index(x)
+    arc = [x]
+    while arc[-1] != y:
+        i = (i + step) % len(order)
+        arc.append(order[i])
+    return arc
+
+
 def brute_side_p3_counts(g: Graph, order: tuple[int, ...], chord: tuple[int, int]) -> dict[str, int]:
     """Induced 3-paths from a chord endpoint into one side's strict interior.
 
@@ -63,16 +74,6 @@ def brute_side_p3_counts(g: Graph, order: tuple[int, ...], chord: tuple[int, int
     statistics: s2/p2 (forward arc, from x/y) and t2/q2 (backward arc).
     """
     x, y = chord
-    n = len(order)
-    start = order.index(x)
-
-    def strict_interior(step: int) -> list[int]:
-        inside = []
-        i = (start + step) % n
-        while order[i] != y:
-            inside.append(order[i])
-            i = (i + step) % n
-        return inside
 
     def count(inside: list[int], e: int) -> int:
         return sum(
@@ -82,13 +83,82 @@ def brute_side_p3_counts(g: Graph, order: tuple[int, ...], chord: tuple[int, int
             if c != w and g.has_edge(e, c) and g.has_edge(c, w) and not g.has_edge(e, w)
         )
 
-    forward, backward = strict_interior(1), strict_interior(-1)
+    forward, backward = side_arc(order, chord, 1)[1:-1], side_arc(order, chord, -1)[1:-1]
     return {
         "s2": count(forward, x),
         "p2": count(forward, y),
         "t2": count(backward, x),
         "q2": count(backward, y),
     }
+
+
+def brute_side_classes(g: Graph, seq: list[int]) -> dict[str, set[int]]:
+    """The classes A, B1, B2, D1, D2 of one side arc, from their definitions.
+
+    ``seq`` is the arc from x to y.  The rules are read off the
+    ``outerpath.chords`` docstring and applied as written, B2 and D2
+    included, with arc positions in place of bitmasks.
+    """
+    x, y = seq[0], seq[-1]
+    interior = seq[1:-1]
+    pos = {v: i for i, v in enumerate(seq)}
+    x_nbrs = [v for v in interior if g.has_edge(x, v)]
+    y_nbrs = [v for v in interior if g.has_edge(y, v)]
+    a = {
+        v
+        for v in interior
+        if not g.has_edge(x, v)
+        and not g.has_edge(y, v)
+        and sum(g.has_edge(v, c) for c in x_nbrs) <= 1
+        and sum(g.has_edge(v, c) for c in y_nbrs) <= 1
+    }
+
+    def common_in_gap(c: int, d: int) -> bool:
+        return any(g.has_edge(c, w) and g.has_edge(d, w) for w in interior if pos[c] < pos[w] < pos[d])
+
+    def span(nbrs: list[int]) -> set[int]:
+        return {v for v in interior if nbrs and pos[nbrs[0]] <= pos[v] <= pos[nbrs[-1]]}
+
+    b1 = {c for c, d in zip(x_nbrs, x_nbrs[1:]) if not common_in_gap(c, d)}
+    b2 = {d for c, d in zip(y_nbrs, y_nbrs[1:]) if not common_in_gap(c, d)}
+    return {"A": a, "B1": b1, "B2": b2, "D1": span(x_nbrs) - a - b1, "D2": span(y_nbrs) - a - b2}
+
+
+def brute_cut_vertices(g: Graph) -> int:
+    """Bitmask of the vertices whose removal increases the component count."""
+
+    def components(alive: set[int]) -> int:
+        count, seen = 0, set()
+        for s in alive:
+            if s in seen:
+                continue
+            count += 1
+            stack = [s]
+            seen.add(s)
+            while stack:
+                u = stack.pop()
+                for w in alive:
+                    if w not in seen and g.has_edge(u, w):
+                        seen.add(w)
+                        stack.append(w)
+        return count
+
+    everyone = set(range(g.n))
+    base = components(everyone)
+    return sum(1 << v for v in range(g.n) if g.n > 1 and components(everyone - {v}) > base)
+
+
+def brute_is_two_connected(g: Graph) -> bool:
+    """At least 3 vertices, connected, and no vertex whose removal disconnects."""
+    reach = {0}
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for w in range(g.n):
+            if w not in reach and g.has_edge(u, w):
+                reach.add(w)
+                stack.append(w)
+    return g.n >= 3 and len(reach) == g.n and brute_cut_vertices(g) == 0
 
 
 def orders_cross(g: Graph, order: tuple[int, ...]) -> bool:

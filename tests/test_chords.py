@@ -16,6 +16,8 @@ from outerpath import (
 )
 from outerpath.verify import two_connected_corpus
 
+from helpers import brute_side_classes, side_arc
+
 
 def cycle(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
@@ -124,6 +126,30 @@ class TestPartition:
                     for primed in (False, True):
                         assert partition_is_complete(side_partition(g, emb, e, primed))
 
+    def test_classes_agree_with_naive_definitions(self):
+        for n in range(3, 8):
+            for g, emb in two_connected_corpus(n):
+                for e in g.edges():
+                    for primed, step in ((False, 1), (True, -1)):
+                        part = side_partition(g, emb, e, primed)
+                        seq = side_arc(emb.order, e, step)
+                        assert part.seq == tuple(seq)
+                        classes = (part.a_set, part.b1_set, part.b2_set, part.d1_set, part.d2_set)
+                        assert list(brute_side_classes(g, seq).values()) == list(classes)
+
+    def test_reversed_chord_mirrors_the_side(self):
+        # walking the same arc from y swaps the roles of x and y
+        for n in range(3, 8):
+            for g, emb in two_connected_corpus(n):
+                for x, y in g.edges():
+                    u = side_partition(g, emb, (x, y))
+                    m = side_partition(g, emb, (y, x), True)
+                    assert m.seq == u.seq[::-1]
+                    assert (m.ox, m.oy) == (u.oy[::-1], u.ox[::-1])
+                    assert (m.s1, m.s2, m.p1, m.p2) == (u.p1, u.p2, u.s1, u.s2)
+                    assert (m.b1_set, m.b2_set, m.d1_set, m.d2_set) == (u.b2_set, u.b1_set, u.d2_set, u.d1_set)
+                    assert (m.a_set, m.v_ell) == (u.a_set, u.v_ell)
+
     def test_shared_vertex_lives_in_both_d_classes(self):
         g = cycle(6).with_edges([(0, 3), (1, 3), (0, 4)])
         part = side_partition(g, OuterEmbedding.identity(6), (0, 4))
@@ -135,22 +161,22 @@ class TestPhi:
     def test_agrees_with_brute_classification(self):
         g = cycle(6).with_edges([(0, 3)])
         emb = OuterEmbedding.identity(6)
-        assert phi(g, emb, (0, 3), 4) == brute_phi(g, emb, (0, 3), 4)
+        assert phi(g, emb, (0, 3)) == brute_phi(g, emb, (0, 3), 4)
 
     def test_diamond_has_no_induced_p4(self):
         g = cycle(4).with_edges([(0, 2)])
         emb = OuterEmbedding.identity(4)
         for e in g.edges():
-            assert phi(g, emb, e, 4) == 0
+            assert phi(g, emb, e) == 0
 
     def test_agrees_with_brute_on_corpus_n6(self):
         for g, emb in two_connected_corpus(6):
             for e in g.edges():
-                assert phi(g, emb, e, 4) == brute_phi(g, emb, e, 4)
+                assert phi(g, emb, e) == brute_phi(g, emb, e, 4)
 
     def test_triangle_has_no_p4_at_all(self):
         g = cycle(3)
-        assert phi(g, OuterEmbedding.identity(3), (0, 1), 4) == 0
+        assert phi(g, OuterEmbedding.identity(3), (0, 1)) == 0
 
 
 class TestInequalities:

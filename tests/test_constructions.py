@@ -127,7 +127,7 @@ class TestLowerBoundValue:
     def test_exact_values(self):
         assert lower_bound_value(3, 11) == Fraction(16)
         assert lower_bound_value(4, 20) == Fraction(225, 2)  # 112.5
-        assert lower_bound_value(4, 20, as_floor=True) == 112
+        assert int(lower_bound_value(4, 20)) == 112
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -232,6 +232,16 @@ class TestSplitByChord:
         with pytest.raises(ValueError):
             split_by_chord(cycle(6), OuterEmbedding.identity(6), (0, 2))
 
+    def test_side_face_counts_rejects_a_cut_off_the_dual_tree(self):
+        g = maximal_completion(cycle(6), OuterEmbedding.identity(6))
+        dual = weak_dual(g, OuterEmbedding.identity(6))
+        assert (0, 3) not in dual.edges
+        for cut in ((0, 3), (0, 9), (-1, 0)):
+            with pytest.raises(ValueError):
+                side_face_counts(dual, cut)
+        for i, j in dual.edges:
+            assert sum(side_face_counts(dual, (j, i))) == len(dual.nodes)
+
 
 class TestDualCutBridge:
     def test_cut_chord_balances_faces(self):

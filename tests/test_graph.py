@@ -1,10 +1,12 @@
 import random
 
+import networkx as nx
 import pytest
 
 from outerpath import (
     Graph,
     UnsupportedSizeError,
+    blocks,
     canonical_form,
     cut_vertices,
     induced_subgraph,
@@ -14,7 +16,7 @@ from outerpath import (
     vertex_set,
 )
 
-from helpers import random_graph, relabel
+from helpers import brute_cut_vertices, brute_is_two_connected, random_graph, relabel
 
 
 def cycle(n):
@@ -97,6 +99,31 @@ class TestConnectivity:
     def test_two_disjoint_edges(self):
         g = Graph(4, [(0, 1), (2, 3)])
         assert not is_connected(g)
+
+    def test_small_and_disconnected_blocks(self):
+        # bridges are blocks, isolated vertices lie in none
+        assert blocks(Graph(1)) == [] and cut_vertices(Graph(1)) == 0
+        assert blocks(Graph(2)) == [] and not is_two_connected(Graph(2))
+        assert blocks(Graph(2, [(0, 1)])) == [0b11] and not is_two_connected(Graph(2, [(0, 1)]))
+        triangle_plus_isolated = Graph(4, [(0, 1), (1, 2), (0, 2)])
+        assert blocks(triangle_plus_isolated) == [0b111]
+        assert not is_two_connected(triangle_plus_isolated)
+        bowtie = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+        assert sorted(blocks(bowtie)) == [0b00111, 0b11100]
+        assert cut_vertices(bowtie) == vertex_set([2])
+
+    def test_blocks_agree_with_removal_scan_and_networkx(self):
+        rng = random.Random(2026)
+        for _ in range(1500):
+            n = rng.randint(1, 12)
+            g = random_graph(n, rng.choice((0.1, 0.25, 0.5)), rng)
+            ng = nx.Graph()
+            ng.add_nodes_from(range(n))
+            ng.add_edges_from(g.edges())
+            assert sorted(blocks(g)) == sorted(vertex_set(c) for c in nx.biconnected_components(ng))
+            assert cut_vertices(g) == brute_cut_vertices(g) == vertex_set(nx.articulation_points(ng))
+            assert is_two_connected(g) == brute_is_two_connected(g)
+            assert is_two_connected(g) == (n >= 3 and nx.is_biconnected(ng))
 
     def test_degree_example(self):
         assert star(7).degree(0) == 6

@@ -153,13 +153,10 @@ class TestVerifyPaper:
     def test_known_failing_check_sets_exit_code(self, capsys):
         code, out, _ = run_cli(capsys, "verify-paper", "--only", "chord-crossing", "--jobs", "1")
         assert code == 1
-        payload = json.loads(out)
-        counts = payload["checks"][0]["observed"]
-        assert counts["phi_six_product"] == 0
-        assert counts["phi_quadratic"] == 0
-        assert counts["partition"] == 0
-        assert counts["first_order_lines"] == 0
-        assert counts["second_order_lines"] > 0
+        (check,) = json.loads(out)["checks"]
+        recorded = {c["name"]: c for c in json.loads(VERIFY_REFERENCE.read_text())["checks"]}
+        assert check["observed"] == recorded[check["name"]]["observed"]
+        assert check["observed"]["second_order_lines"] > 0
 
     def test_deterministic_bytes(self, capsys):
         outs = set()
