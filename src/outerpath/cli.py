@@ -18,18 +18,16 @@ import sys
 
 from .constructions import KINDS, ConstructionSpec, build
 from .dual import weak_dual
-from .graph import Graph, to_dot
+from .graph import SCHEMA, Graph, to_dot
 from .graph6 import from_graph6, to_graph6
 from .outerplanar import OuterEmbedding, maximal_completion, outer_cycle
 from .paths import count_induced_paths
 from .search import extremal_value
 from .verify import run_verify
 
-SCHEMA = "outerpath/1"
 
-
-def _emit(payload: dict | list, path: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+def _emit(payload: dict | list | str, path: str | None) -> None:
+    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2) + "\n"
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -61,14 +59,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     reports = [extremal_value(n, args.k, jobs=args.jobs) for n in args.n]
     if args.csv:
-        lines = ["n,k,max_copies"]
-        lines += [f"{r.n},{r.k},{r.max_copies}" for r in reports]
-        text = "\n".join(lines) + "\n"
-        if args.json:
-            with open(args.json, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        lines = ["n,k,max_copies"] + [f"{r.n},{r.k},{r.max_copies}" for r in reports]
+        _emit("\n".join(lines) + "\n", args.json)
         return 0
     payloads = [
         r.to_json_dict(include_witnesses=args.witnesses, timing=args.timing) for r in reports

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graph import Graph, VertexSet
-from .outerplanar import OuterEmbedding, verify_embedding
+from .outerplanar import OuterEmbedding, _regions, verify_embedding
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,8 @@ class DualTree:
     def to_tree(self) -> Tree:
         return Tree(len(self.nodes), self.edges)
 
-    def to_dot(self, name: str = "dual") -> str:
-        lines = [f"graph {name} {{"]
+    def to_dot(self) -> str:
+        lines = ["graph dual {"]
         for i, face in enumerate(self.nodes):
             label = "-".join(str(v) for v in face)
             lines.append(f'  f{i} [label="{label}"];')
@@ -87,10 +87,10 @@ class DualTree:
 def weak_dual(g: Graph, emb: OuterEmbedding) -> DualTree:
     """Weak dual of a maximal outerplanar graph under the given embedding.
 
-    Faces are found by splitting position intervals at their unique apex:
-    the triangle over boundary edge (lo, hi) has the single interior
-    vertex adjacent to both ends.  Faces are reported in ascending
-    position order of their lowest corner.
+    A crossing-free graph with 2n-3 edges on n convex points is a full
+    triangulation, so every region :func:`~outerpath.outerplanar._regions`
+    finds is a triangle.  Faces are reported in ascending order of their
+    sorted corner positions.
     """
     n = g.n
     if n < 3:
@@ -103,42 +103,20 @@ def weak_dual(g: Graph, emb: OuterEmbedding) -> DualTree:
             f"{n} vertices has {2 * n - 3}; run maximal_completion first"
         )
     order = emb.order
-
-    def padj(i: int, j: int) -> bool:
-        return g.has_edge(order[i], order[j])
-
-    faces_pos: list[tuple[int, int, int]] = []
-    stack = [(0, n - 1)]
-    while stack:
-        lo, hi = stack.pop()
-        apex = None
-        for c in range(lo + 1, hi):
-            if padj(lo, c) and padj(c, hi):
-                apex = c
-                break
-        if apex is None:
-            raise ValueError("embedding does not triangulate; graph is not maximal outerplanar")
-        faces_pos.append((lo, apex, hi))
-        if apex - lo >= 2:
-            stack.append((lo, apex))
-        if hi - apex >= 2:
-            stack.append((apex, hi))
-    faces_pos.sort()
+    faces_pos = sorted(tuple(sorted(face)) for face in _regions(g, order))
 
     by_edge: dict[tuple[int, int], list[int]] = {}
     for idx, (a, b, c) in enumerate(faces_pos):
         for e in ((a, b), (b, c), (a, c)):
             by_edge.setdefault(e, []).append(idx)
-    dual_edges = []
+    # a face's index is appended once per edge, in index order, so each
+    # shared edge's owners come out as the ascending dual edge
     shared = {}
-    for e, owners in sorted(by_edge.items()):
+    for (a, b), owners in sorted(by_edge.items()):
         if len(owners) == 2:
-            i, j = sorted(owners)
-            dual_edges.append((i, j))
-            u, v = order[e[0]], order[e[1]]
-            shared[(i, j)] = (min(u, v), max(u, v))
+            shared[tuple(owners)] = tuple(sorted((order[a], order[b])))
     nodes = tuple(tuple(order[p] for p in f) for f in faces_pos)
-    dual = DualTree(nodes, tuple(sorted(dual_edges)), shared)
+    dual = DualTree(nodes, tuple(sorted(shared)), shared)
     dual.to_tree()  # raises if the dual is not a tree
     return dual
 

@@ -14,6 +14,9 @@ from typing import Iterable, Iterator
 
 MAX_VERTICES = 64
 
+# Format tag on every JSON payload the toolkit writes.
+SCHEMA = "outerpath/1"
+
 # Full permutation scan only stays tractable up to here; larger searches
 # never deduplicate by isomorphism.
 CANONICAL_CAP = 9
@@ -275,9 +278,9 @@ def canonical_form(g: Graph) -> bytes:
     return to_graph6(Graph._from_rows(tuple(rows))).encode("ascii")
 
 
-def to_dot(g: Graph, name: str = "G") -> str:
+def to_dot(g: Graph) -> str:
     """Graphviz source for the graph, isolated vertices included."""
-    lines = [f"graph {name} {{"]
+    lines = ["graph G {"]
     for v in range(g.n):
         lines.append(f"  {v};")
     for u, v in g.edges():

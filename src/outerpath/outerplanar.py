@@ -161,14 +161,47 @@ def outer_cycle(g: Graph) -> OuterEmbedding:
     raise ValueError("graph is not outerplanar: it has no crossing-free outer cycle")
 
 
+def _regions(g: Graph, order: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Chord-free regions of ``g`` plus the outer cycle of ``order``, as position tuples.
+
+    Each region is split at its first entry that has a chord, along the
+    chord to the nearest later entry; the two parts begin at the chord's
+    first and second end.  A chord back to an earlier entry would have
+    split the region there already.
+    """
+    rows = [g.adj[v] for v in order]
+    vbit = [1 << v for v in order]
+    out = []
+    stack = [tuple(range(len(order)))]
+    while stack:
+        region = stack.pop()
+        if len(region) == 3:
+            out.append(region)
+            continue
+        inside = 0
+        for p in region:
+            inside |= vbit[p]
+        for ai in range(len(region) - 1):
+            row = rows[region[ai]]
+            if row & inside & ~(vbit[region[ai - 1]] | vbit[region[ai + 1]]):
+                bi = ai + 2
+                while not row & vbit[region[bi]]:
+                    bi += 1
+                stack += [region[ai : bi + 1], region[bi:] + region[: ai + 1]]
+                break
+        else:
+            out.append(region)
+    return out
+
+
 def maximal_completion(g: Graph, emb: OuterEmbedding) -> Graph:
     """Triangulating supergraph on the same vertices and embedding.
 
     Adds the outer cycle of ``emb`` plus non-crossing chords until every
-    bounded region is a triangle: regions are split along existing chords
-    first, then chord-free regions are fan-triangulated from their lowest
-    position.  Result has exactly 2n-3 edges for n >= 3 and is a fixed
-    point of the operation.
+    bounded region is a triangle: each chord-free region of
+    :func:`_regions` is fan-triangulated from its first position, the
+    chord end it was split at (not its lowest position).  Result has
+    exactly 2n-3 edges for n >= 3 and is a fixed point of the operation.
     """
     if not verify_embedding(g, emb):
         raise ValueError("cannot complete: embedding has crossing chords")
@@ -176,33 +209,9 @@ def maximal_completion(g: Graph, emb: OuterEmbedding) -> Graph:
     order = emb.order
     if n <= 2:
         return g.with_edges([(order[0], order[1])]) if n == 2 else g
-
-    def padj(i: int, j: int) -> bool:
-        return g.has_edge(order[i], order[j])
-
     new_edges = [(order[i], order[(i + 1) % n]) for i in range(n)]
-    stack = [tuple(range(n))]
-    while stack:
-        region = stack.pop()
-        m = len(region)
-        if m < 4:
-            continue
-        split = None
-        for ai in range(m - 1):
-            hi = m if ai else m - 1  # (first, last) is a region boundary edge
-            for bi in range(ai + 2, hi):
-                if padj(region[ai], region[bi]):
-                    split = (ai, bi)
-                    break
-            if split:
-                break
-        if split:
-            ai, bi = split
-            stack.append(region[ai : bi + 1])
-            stack.append(region[bi:] + region[: ai + 1])
-        else:
-            for j in range(2, m - 1):
-                new_edges.append((order[region[0]], order[region[j]]))
+    for region in _regions(g, order):
+        new_edges += [(order[region[0]], order[p]) for p in region[2:-1]]
     done = g.with_edges(new_edges)
     if done.edge_count() != 2 * n - 3:
         raise RuntimeError("completion did not reach 2n-3 edges; invariant violated")

@@ -22,6 +22,27 @@ class PathCount:
     copies: int
 
 
+def _count_walks(g: Graph, k: int, ends: list[int]) -> int:
+    """Induced ``k``-vertex paths (k >= 2) from each start s to a last vertex in ``ends[s]``."""
+    adj = g.adj
+    total = 0
+
+    def extend(last: int, pmask: int, forb: int, depth: int, end: int) -> None:
+        nonlocal total
+        cand = adj[last] & ~(pmask | forb)
+        if depth + 1 == k:
+            total += (cand & end).bit_count()
+            return
+        nforb = forb | adj[last]
+        for w in bits(cand):
+            extend(w, pmask | (1 << w), nforb, depth + 1, end)
+
+    for s, end in enumerate(ends):
+        if end:
+            extend(s, 1 << s, 0, 1, end)
+    return total
+
+
 def count_induced_paths(g: Graph, k: int) -> PathCount:
     """Number of unordered induced paths on ``k`` vertices."""
     n = g.n
@@ -29,22 +50,8 @@ def count_induced_paths(g: Graph, k: int) -> PathCount:
         raise ValueError(f"path length k must be in 1..{n}, got {k}")
     if k == 1:
         return PathCount(1, n)
-    adj = g.adj
-    total = 0
-
-    def extend(last: int, pmask: int, forb: int, depth: int, start: int) -> None:
-        nonlocal total
-        cand = adj[last] & ~(pmask | forb)
-        if depth + 1 == k:
-            total += (cand >> (start + 1)).bit_count()
-            return
-        nforb = forb | adj[last]
-        for w in bits(cand):
-            extend(w, pmask | (1 << w), nforb, depth + 1, start)
-
-    for s in range(n):
-        extend(s, 1 << s, 0, 1, s)
-    return PathCount(k, total)
+    full = g.full_mask
+    return PathCount(k, _count_walks(g, k, [full >> (s + 1) << (s + 1) for s in range(n)]))
 
 
 def count_induced_p3_closed_form(g: Graph) -> int:
@@ -70,25 +77,9 @@ def count_induced_paths_between(g: Graph, x: int, y: int, k: int) -> int:
         raise ValueError("endpoints must be distinct")
     if not 2 <= k <= n:
         raise ValueError(f"path length k must be in 2..{n}, got {k}")
-    adj = g.adj
-    ybit = 1 << y
-    total = 0
-
-    def extend(last: int, pmask: int, forb: int, depth: int) -> None:
-        nonlocal total
-        cand = adj[last] & ~(pmask | forb)
-        if depth + 1 == k:
-            if cand & ybit:
-                total += 1
-            return
-        if forb & ybit:
-            return
-        nforb = forb | adj[last]
-        for w in bits(cand & ~ybit):
-            extend(w, pmask | (1 << w), nforb, depth + 1)
-
-    extend(x, 1 << x, 0, 1)
-    return total
+    ends = [0] * n
+    ends[x] = 1 << y
+    return _count_walks(g, k, ends)
 
 
 def iter_induced_paths(g: Graph, k: int) -> Iterator[tuple[int, ...]]:

@@ -3,11 +3,12 @@
 Every maximal outerplanar graph on n >= 3 vertices is a triangulated
 convex polygon, so every outerplanar graph (up to relabeling the outer
 cycle to the identity) is an edge subset of some polygon triangulation:
-a subset of the n cycle edges plus a non-crossing chord set.  The search
-enumerates triangulations (Catalan(n-2) of them) and gives each chord
-set to the first triangulation that contains it, so each labeled graph
-is scanned once; the owned chord sets are the dissections of the n-gon,
-little-Schroeder(n) of them.
+a subset of the n cycle edges plus a non-crossing chord set.  One apex
+recursion enumerates the triangulations (every apex over each base,
+Catalan(n-2) of them) and draws ``random_outerplanar``'s (one random
+apex).  The search gives each chord set to the first triangulation that
+contains it, so each labeled graph is scanned once; the owned chord
+sets are the dissections of the n-gon, little-Schroeder(n) of them.
 
 One sweep per n scans, with numpy, every subset a triangulation owns
 against every path of that triangulation on 2..n vertices: a
@@ -33,12 +34,12 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .constructions import fib
-from .graph import Graph, UnsupportedSizeError, canonical_form
+from .graph import SCHEMA, Graph, UnsupportedSizeError, canonical_form
 
 TRIANGULATION_CAP = 16
 SEARCH_CAP = 8
@@ -50,27 +51,30 @@ def catalan(m: int) -> int:
     return comb(2 * m, m) // (m + 1)
 
 
-def _triangulation_chords(lo: int, hi: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Chord sets triangulating the polygon on positions lo..hi over base (lo, hi)."""
+def _triangulation_chords(
+    lo: int, hi: int, apexes: Callable[[int, int], Iterable[int]]
+) -> Iterator[Edges]:
+    """Chord sets triangulating the polygon on positions lo..hi over base (lo, hi).
+
+    ``apexes(lo, hi)`` gives the apexes to try over each base.  The base
+    triangle's chords come before those of its left and right parts.
+    """
     if hi - lo < 2:
         yield ()
         return
-    for c in range(lo + 1, hi):
-        extra = []
-        if c - lo >= 2:
-            extra.append((lo, c))
+    for c in apexes(lo, hi):
+        extra = ((lo, c),) if c - lo >= 2 else ()
         if hi - c >= 2:
-            extra.append((c, hi))
-        extra = tuple(extra)
-        for left in _triangulation_chords(lo, c):
-            for right in _triangulation_chords(c, hi):
-                yield left + extra + right
+            extra += ((c, hi),)
+        for left in _triangulation_chords(lo, c, apexes):
+            for right in _triangulation_chords(c, hi, apexes):
+                yield extra + left + right
 
 
 def triangulation_chord_sets(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     if not 3 <= n <= TRIANGULATION_CAP:
         raise ValueError(f"triangulation enumeration supports 3 <= n <= {TRIANGULATION_CAP}")
-    for chords in _triangulation_chords(0, n - 1):
+    for chords in _triangulation_chords(0, n - 1, lambda lo, hi: range(lo + 1, hi)):
         yield tuple(sorted(chords))
 
 
@@ -100,23 +104,13 @@ def enumerate_outerplanar(n: int) -> Iterator[Graph]:
 
 
 def random_outerplanar(n: int, rng: random.Random) -> Graph:
-    """Random edge subset of a random triangulation of the n-gon."""
+    """Random edge subset of the triangulation drawn with one random apex per base."""
     if not 3 <= n <= TRIANGULATION_CAP:
         raise ValueError(f"random generation supports 3 <= n <= {TRIANGULATION_CAP}")
 
-    def tri(lo: int, hi: int) -> list[tuple[int, int]]:
-        if hi - lo < 2:
-            return []
-        c = rng.randint(lo + 1, hi - 1)
-        out = []
-        if c - lo >= 2:
-            out.append((lo, c))
-        if hi - c >= 2:
-            out.append((c, hi))
-        return out + tri(lo, c) + tri(c, hi)
-
     keep = rng.uniform(0.3, 1.0)
-    edges = _cycle_edges(n) + tri(0, n - 1)
+    chords = next(_triangulation_chords(0, n - 1, lambda lo, hi: (rng.randint(lo + 1, hi - 1),)))
+    edges = _cycle_edges(n) + list(chords)
     return Graph(n, [e for e in edges if rng.random() < keep])
 
 
@@ -192,7 +186,7 @@ class SearchReport:
 
     def to_json_dict(self, include_witnesses: bool = True, timing: bool = False) -> dict:
         out: dict = {
-            "schema": "outerpath/1",
+            "schema": SCHEMA,
             "n": self.n,
             "k": self.k,
             "max_copies": self.max_copies,

@@ -37,7 +37,7 @@ from .constructions import (
     lower_bound_value,
 )
 from .dual import Tree, balanced_edge_cut
-from .graph import Graph, canonical_form
+from .graph import SCHEMA, Graph, canonical_form
 from .graph6 import from_graph6, to_graph6
 from .outerplanar import OuterEmbedding
 from .paths import count_induced_p3_closed_form, count_induced_paths
@@ -85,7 +85,7 @@ class VerifyReport:
     def to_json_dict(self, timing: bool = False) -> dict:
         failed = sum(not c.passed for c in self.checks)
         return {
-            "schema": "outerpath/1",
+            "schema": SCHEMA,
             "checks": [c.to_json_dict(timing) for c in self.checks],
             "summary": {
                 "total": len(self.checks),

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -9,6 +10,7 @@ from outerpath import (
     Tree,
     balanced_edge_cut,
     maximal_completion,
+    random_outerplanar,
     side_face_counts,
     split_by_chord,
     triangulation_chord_sets,
@@ -20,6 +22,11 @@ from outerpath import (
 
 def cycle(n):
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def triangles(g):
+    # every 3-clique, in ascending order
+    return tuple(t for t in combinations(range(g.n), 3) if all(g.has_edge(u, v) for u, v in combinations(t, 2)))
 
 
 def path_tree(n):
@@ -113,6 +120,22 @@ class TestWeakDual:
                 # interior host edges (the chords) each back exactly one dual edge
                 hosts = sorted(dual.shared_edge.values())
                 assert hosts == sorted(chords)
+
+    def test_nodes_are_the_triangles_of_every_triangulation(self):
+        # in a maximal outerplanar graph every triangle is a bounded face
+        for n in range(3, 10):
+            cyc = [(i, (i + 1) % n) for i in range(n)]
+            for chords in triangulation_chord_sets(n):
+                g = Graph(n, cyc + list(chords))
+                assert weak_dual(g, OuterEmbedding.identity(n)).nodes == triangles(g)
+
+    def test_nodes_are_the_triangles_of_completed_random_graphs(self):
+        rng = random.Random(8)
+        for _ in range(300):
+            g = random_outerplanar(rng.randint(3, 16), rng)
+            emb = OuterEmbedding.identity(g.n)
+            full = maximal_completion(g, emb)
+            assert weak_dual(full, emb).nodes == triangles(full)
 
     def test_completion_then_dual(self):
         g = maximal_completion(cycle(6), OuterEmbedding.identity(6))

@@ -228,6 +228,13 @@ class TestMaximalCompletion:
         dual = weak_dual(g, OuterEmbedding.identity(6))
         assert all(len(face) == 3 for face in dual.nodes)
 
+    def test_regions_fan_from_their_first_position_as_split(self):
+        # the chord (1, 5) splits the octagon into 1..5 and 5, 6, 7, 0, 1;
+        # the second region fans from 5, not from its lowest position 0
+        g = cycle(8).with_edges([(1, 5)])
+        done = maximal_completion(g, OuterEmbedding.identity(8))
+        assert set(done.edges()) - set(g.edges()) == {(0, 5), (1, 3), (1, 4), (5, 7)}
+
     def test_fixed_point_and_idempotence(self):
         rng = random.Random(31)
         from outerpath import random_outerplanar

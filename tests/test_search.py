@@ -22,6 +22,7 @@ from outerpath import (
     is_outerplanar,
     random_outerplanar,
     search,
+    to_graph6,
     triangulation_chord_sets,
     verify_fib_bounds,
 )
@@ -135,6 +136,21 @@ class TestEnumerateOuterplanar:
         for _ in range(200):
             g = random_outerplanar(rng.randint(3, 8), rng)
             assert is_outerplanar(g)
+
+
+class TestRandomOuterplanar:
+    def test_draws_are_pinned(self):
+        # C9 and several tests draw from this stream: the graphs and the
+        # generator state after them must not drift
+        pinned = {
+            0: (["Bo", "G|CGsc", "KA?WC?@?G@?@", "OpGhGC@?W?_Pg?????K?E"], 0.11534974341425441),
+            1: (["B_", "GpCPLC", "KjDWGCF?IHw@", "OjCG???CW?_@????OAK??"], 0.518678283523002),
+            2026: (["B?", "GGE?C?", "KXK?WO@???O?", "OxCXgC@gw?_B?D?C_?K?b"], 0.9219705906902864),
+        }
+        for seed, (strings, after) in pinned.items():
+            rng = random.Random(seed)
+            assert [to_graph6(random_outerplanar(n, rng)) for n in (3, 8, 12, 16)] == strings
+            assert rng.random() == after
 
 
 class TestExtremalValue:
