@@ -6,24 +6,28 @@ cycle to the identity) is an edge subset of some polygon triangulation:
 a subset of the n cycle edges plus a non-crossing chord set.  One apex
 recursion enumerates the triangulations (every apex over each base,
 Catalan(n-2) of them) and draws ``random_outerplanar``'s (one random
-apex).  The search gives each chord set to the first triangulation that
-contains it, so each labeled graph is scanned once; the owned chord
-sets are the dissections of the n-gon, little-Schroeder(n) of them.
+apex).  Giving each chord set to the first triangulation that contains
+it lists the dissections of the n-gon once each, little-Schroeder(n) of
+them.
 
-One sweep per n scans, with numpy, every subset a triangulation owns
-against every path of that triangulation on 2..n vertices: a
-candidate vertex sequence is an induced path of the subset graph iff its
-consecutive pairs are all present and its other triangulation pairs are
-all absent, which is one mask comparison against all subsets at once.
-The sweep yields the per-length maxima with their maximising graphs and
-the endpoint-pair census together; ``extremal_value`` and
+Rotating or reflecting the outer cycle changes no count, so one sweep
+per n scans only one dissection D per dihedral orbit (75 of the 903 at
+n = 8), with all 2^n subsets of the cycle edges.  With numpy, every
+subset is matched against every path of D plus the cycle on 2..n
+vertices: a candidate vertex sequence is an induced path of the subset
+graph iff its consecutive pairs are all present and its other pairs
+among D and the cycle are all absent, which is one mask comparison
+against all subsets at once.  The sweep yields the per-length maxima
+with their maximising graphs and the endpoint-pair census, closed under
+the dihedral maps of the vertex pairs; ``extremal_value`` and
 ``endpoint_pair_maxima`` read it from a per-process cache.  Maximising
 graphs are canonicalised once per rotation/reflection class of the outer
 cycle.
 
-Work is split across processes by contiguous triangulation blocks; the
-reduction (max, then union of maximising graphs) is associative, so
-reports are byte-identical for any worker count.
+Work is split across processes by contiguous blocks of orbit
+representatives, each carrying 2^n subsets; the reduction (max, then
+union of maximising graphs) is associative, so reports are
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -31,10 +35,9 @@ from __future__ import annotations
 import multiprocessing
 import random
 import time
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,7 +45,7 @@ from .constructions import fib
 from .graph import SCHEMA, Graph, UnsupportedSizeError, canonical_form
 
 TRIANGULATION_CAP = 16
-SEARCH_CAP = 8
+SEARCH_CAP = 9
 
 Edges = tuple[tuple[int, int], ...]
 
@@ -114,23 +117,23 @@ def random_outerplanar(n: int, rng: random.Random) -> Graph:
     return Graph(n, [e for e in edges if rng.random() < keep])
 
 
-# -- per-triangulation subset sweep -------------------------------------------
+# -- sweep over one dissection per dihedral orbit ------------------------------
 
 
-def _tri_edge_list(n: int, chords: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
-    return sorted(_cycle_edges(n) + list(chords))
+def _path_candidates(n: int, chords: Edges) -> list[tuple[int, int, int, int, int]]:
+    """Self-avoiding paths on 2 or more vertices of the cycle 0..n-1 plus
+    ``chords``, as (length, start, end, req, mask) over the cycle edges.
 
-
-def _path_candidates(
-    n: int, edges: list[tuple[int, int]], max_len: int
-) -> list[tuple[int, int, int, int, int]]:
-    """Self-avoiding paths of the triangulation on 2..max_len vertices,
-    as (length, start, end, req, forb).
-
-    ``req`` collects the edge-index bits of consecutive pairs, ``forb``
-    those of non-consecutive pairs that are triangulation edges.  Paths
-    are produced once each (start < end).
+    Cycle edge i of :func:`_cycle_edges` has bit i.  With every chord
+    present and the cycle edges of subset S, a path is induced iff
+    ``S & mask == req``: ``req`` holds the bits of its consecutive pairs,
+    ``mask`` also those of its non-consecutive pairs that are cycle
+    edges.  A path with a chord between non-consecutive vertices is never
+    induced, nor is any extension of it; neither is produced.  Paths are
+    produced once each (start < end).
     """
+    edges = _cycle_edges(n) + list(chords)
+    cycle_bits = (1 << n) - 1
     # ebit[u][v]: the edge-index bit of edge uv, 0 for a non-edge
     ebit = [[0] * n for _ in range(n)]
     adj = [0] * n
@@ -149,16 +152,17 @@ def _path_candidates(
             w = low.bit_length() - 1
             m ^= low
             row = ebit[w]
-            nreq = req | row[u]
             nforb = forb
             for v in path[:-1]:
                 nforb |= row[v]
+            if nforb & ~cycle_bits:
+                continue
+            nreq = req | row[u]
             if w > path[0]:
-                out.append((length, path[0], w, nreq, nforb))
-            if length < max_len:
-                path.append(w)
-                extend(w, pmask | low, nreq, nforb)
-                path.pop()
+                out.append((length, path[0], w, nreq & cycle_bits, (nreq | nforb) & cycle_bits))
+            path.append(w)
+            extend(w, pmask | low, nreq, nforb)
+            path.pop()
 
     for s in range(n):
         path[:] = [s]
@@ -172,8 +176,8 @@ class SearchReport:
 
     ``graphs_scanned`` is Catalan(n-2) * 2^(2n-3), the number of
     (triangulation, edge subset) pairs the search covers.  Each distinct
-    labeled graph among them is scanned once, under the triangulation that
-    owns its chord set (see :func:`owned_chord_subsets`).
+    labeled graph among them is covered by a rotation or reflection of
+    the outer cycle onto a scanned graph (see :func:`orbit_representatives`).
     """
 
     n: int
@@ -221,66 +225,67 @@ def owned_chord_subsets(n: int) -> Iterator[tuple[Edges, list[Edges]]]:
         yield chords, owned
 
 
-# Subset columns scanned at once; bounds the (candidates x columns) blocks.
-_COLUMNS = 1024
+def orbit_representatives(n: int) -> list[Edges]:
+    """One dissection of the n-gon per rotation/reflection orbit.
+
+    Each orbit is represented by its least chord set, the one
+    :func:`_dihedral_min` gives; representatives come in
+    :func:`owned_chord_subsets` order.  They number 1, 2, 3, 9, 20, 75,
+    262, 1117 for n = 3..10.
+    """
+    return [
+        chords
+        for _, owned in owned_chord_subsets(n)
+        for chords in owned
+        if all(tuple(sorted(image)) >= chords for image in _dihedral_images(n, chords))
+    ]
 
 
 def _sweep_block(args) -> tuple[list[int], list[list[Edges]], np.ndarray]:
-    """Scan the graphs a block of triangulations owns, for every path length.
+    """Scan every cycle-edge subset over each dissection of a block, for every path length.
 
     Returns, per length m, the most induced m-paths in one graph and the
     edge lists of the graphs that have that many, and the endpoint census
     ``[x*n+y, m]``: the most induced m-paths between x and y in one graph.
     """
     n, block = args
+    cycle = _cycle_edges(n)
+    subsets = np.arange(1 << n, dtype=np.uint32)
     best = [-1] * (n + 1)
-    tied: list[list[tuple[list[tuple[int, int]], np.ndarray]]] = [[] for _ in range(n + 1)]
+    tied: list[list[tuple[Edges, np.ndarray]]] = [[] for _ in range(n + 1)]
     pair_maxima = np.zeros((n * n, n + 1), dtype=np.int32)
-    for chords, owned in block:
-        edges = _tri_edge_list(n, chords)
-        bit = {e: 1 << i for i, e in enumerate(edges)}
-        every = np.arange(1 << len(edges), dtype=np.uint32)
-        chord_mask = sum(bit[c] for c in chords)
-        subs = every[np.isin(every & chord_mask, [sum(bit[c] for c in sub) for sub in owned])]
+    for chords in block:
+        table = np.array(sorted(_path_candidates(n, chords)), dtype=np.uint32)
+        # Rows sorted by (length, x, y) form one group per pair and length,
+        # whose rows sum to the pair's count; the groups of one length sum
+        # to the total.  A length may have no group: a chord cuts the
+        # cycle's Hamiltonian path, for one.
+        keys = table[:, :3]
+        starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+        group_len = keys[starts, 0].astype(np.intp)
+        group_pair = (keys[starts, 1] * n + keys[starts, 2]).astype(np.intp)
+        len_starts = np.flatnonzero(np.r_[True, group_len[1:] != group_len[:-1]])
 
-        # Candidates sorted by (length, x, y) form one group per pair and
-        # length, whose rows sum to the pair's count; the groups of one
-        # length sum to the total.  Every length occurs: the outer cycle
-        # holds a path on each number of vertices.
-        cands = sorted(_path_candidates(n, edges, n))
-        mask = np.array([c[3] | c[4] for c in cands], dtype=np.uint32)
-        req = np.array([c[3] for c in cands], dtype=np.uint32)
-        starts = [i for i in range(len(cands)) if i == 0 or cands[i][:3] != cands[i - 1][:3]]
-        groups = list(zip(starts, starts[1:] + [len(cands)]))
-        group_len = [cands[i][0] for i in starts]
-        group_pair = [cands[i][1] * n + cands[i][2] for i in starts]
-        by_len = [
-            (m, bisect_left(group_len, m), bisect_right(group_len, m)) for m in range(2, n + 1)
-        ]
-
-        for lo in range(0, len(subs), _COLUMNS):
-            cols = subs[lo : lo + _COLUMNS]
-            ok = ((cols & mask[:, None]) == req[:, None]).view(np.uint8)
-            # int16 holds any count: a triangulation on n <= SEARCH_CAP
-            # vertices has far fewer than 2^15 paths
-            counts = np.empty((len(groups), len(cols)), dtype=np.int16)
-            for g, (a, b) in enumerate(groups):
-                np.add.reduce(ok[a:b], axis=0, dtype=np.int16, out=counts[g])
-            prior = pair_maxima[group_pair, group_len]
-            pair_maxima[group_pair, group_len] = np.maximum(prior, counts.max(axis=1))
-            for m, a, b in by_len:
-                totals = counts[a:b].sum(axis=0, dtype=np.int32)
-                local = int(totals.max())
-                if local > best[m]:
-                    best[m] = local
-                    tied[m] = []
-                if local == best[m]:
-                    tied[m].append((edges, cols[totals == local]))
+        ok = (subsets & table[:, 4, None]) == table[:, 3, None]
+        # int16 holds any count: for n <= SEARCH_CAP = 9 a dissection
+        # keeps at most 214 candidates, far below 2^15
+        counts = np.add.reduceat(ok, starts, axis=0, dtype=np.int16)
+        pair_maxima[group_pair, group_len] = np.maximum(
+            pair_maxima[group_pair, group_len], counts.max(axis=1)
+        )
+        totals = np.add.reduceat(counts, len_starts, axis=0, dtype=np.int32)
+        lengths = group_len[len_starts].tolist()
+        for m, row, local in zip(lengths, totals, totals.max(axis=1).tolist()):
+            if local > best[m]:
+                best[m] = local
+                tied[m] = []
+            if local == best[m]:
+                tied[m].append((chords, np.flatnonzero(row == local)))
 
     witnesses = [
         [
-            tuple(e for i, e in enumerate(edges) if sid >> i & 1)
-            for edges, sids in tied[m]
+            chords + tuple(e for i, e in enumerate(cycle) if sid >> i & 1)
+            for chords, sids in tied[m]
             for sid in sids.tolist()
         ]
         for m in range(n + 1)
@@ -288,14 +293,20 @@ def _sweep_block(args) -> tuple[list[int], list[list[Edges]], np.ndarray]:
     return best, witnesses, pair_maxima
 
 
-def _dihedral_min(n: int, edges: Edges) -> Edges:
-    """Least sorted edge list among the 2n rotations and reflections of the cycle 0..n-1."""
-    images = []
+def _dihedral_images(
+    n: int, pairs: Sequence[tuple[int, int]]
+) -> Iterator[list[tuple[int, int]]]:
+    """The vertex pairs under each of the 2n rotations and reflections of the
+    cycle 0..n-1, every image pair as (low, high)."""
     for r in range(n):
         for sign in (1, -1):
-            image = (((r + sign * u) % n, (r + sign * v) % n) for u, v in edges)
-            images.append(tuple(sorted((u, v) if u < v else (v, u) for u, v in image)))
-    return min(images)
+            image = [((r + sign * u) % n, (r + sign * v) % n) for u, v in pairs]
+            yield [(u, v) if u < v else (v, u) for u, v in image]
+
+
+def _dihedral_min(n: int, edges: Edges) -> Edges:
+    """Least sorted edge list among the 2n rotations and reflections of the cycle 0..n-1."""
+    return min(tuple(sorted(image)) for image in _dihedral_images(n, edges))
 
 
 @dataclass(frozen=True)
@@ -322,19 +333,18 @@ def _sweep(n: int, jobs: int) -> _Sweep:
     """The sweep for n, run once per (n, jobs) in a process.
 
     Every labeled outerplanar graph whose outer cycle lies on 0..n-1 is a
-    subset of the cycle edges plus a chord set, and is scanned under the
-    triangulation that owns the chord set.  Blocks of contiguous
-    triangulations are scanned independently and reduced by max and
-    union, which does not depend on how the stream is split.
+    subset of the cycle edges plus a dissection, and a rotation or
+    reflection of the cycle carries it onto a graph over the orbit
+    representative of its dissection, with the same counts.  Blocks of
+    representatives are scanned independently and reduced by max and
+    union, which does not depend on how the list is split; the census is
+    then closed under the 2n maps of the vertex pairs.
     """
     key = (n, jobs)
     if key in _sweep_cache:
         return _sweep_cache[key]
-    stream = list(owned_chord_subsets(n))
-    expected = catalan(n - 2)
-    if len(stream) != expected:
-        raise RuntimeError(f"triangulation count {len(stream)} != Catalan {expected}")
-    parts = _pool_map(_sweep_block, [(n, c) for c in _chunked(stream, jobs)], jobs)
+    blocks = _chunked(orbit_representatives(n), jobs)
+    parts = _pool_map(_sweep_block, [(n, block) for block in blocks], jobs)
     best = [max(p[0][m] for p in parts) for m in range(n + 1)]
     classes = []
     for m in range(n + 1):
@@ -343,6 +353,10 @@ def _sweep(n: int, jobs: int) -> _Sweep:
     pair_maxima = parts[0][2]
     for p in parts[1:]:
         np.maximum(pair_maxima, p[2], out=pair_maxima)
+    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    images = np.array([[x * n + y for x, y in image] for image in _dihedral_images(n, pairs)])
+    # the first map is the identity
+    pair_maxima[images[0]] = pair_maxima[images].max(axis=0)
     pair_maxima.flags.writeable = False
     _sweep_cache[key] = _Sweep(tuple(best), tuple(classes), pair_maxima)
     return _sweep_cache[key]

@@ -5,6 +5,8 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from outerpath import (
     Graph,
@@ -26,7 +28,7 @@ from outerpath import (
     triangulation_chord_sets,
     verify_fib_bounds,
 )
-from outerpath.search import owned_chord_subsets
+from outerpath.search import orbit_representatives, owned_chord_subsets
 
 from helpers import brute_count_induced_paths
 
@@ -62,12 +64,21 @@ def crosses(a, b):
     return i < k < j < l or k < i < l < j
 
 
+def dissections(n):
+    return [sub for _, subs in owned_chord_subsets(n) for sub in subs]
+
+
+def dihedral_maps(n):
+    """The 2n rotations and reflections of the cycle 0..n-1, as vertex maps."""
+    return [[(r + sign * v) % n for v in range(n)] for r in range(n) for sign in (1, -1)]
+
+
 class TestOwnedChordSubsets:
     def test_counts_are_little_schroeder_numbers(self):
         # OEIS A001003: dissections of the n-gon by non-crossing diagonals
         little_schroeder = [1, 3, 11, 45, 197, 903, 4279, 20793]
         for n, expected in zip(range(3, 11), little_schroeder):
-            owned = [sub for _, subs in owned_chord_subsets(n) for sub in subs]
+            owned = dissections(n)
             assert len(owned) == expected
             assert len(set(owned)) == expected
 
@@ -86,6 +97,33 @@ class TestOwnedChordSubsets:
                 for sub in subs:
                     assert set(sub) <= set(chords)
                     assert not any(set(sub) <= set(earlier) for earlier, _ in stream[:t])
+
+
+class TestOrbitRepresentatives:
+    def test_orbits_partition_the_dissections(self):
+        reps_count = [1, 2, 3, 9, 20, 75, 262, 1117]
+        little_schroeder = [1, 3, 11, 45, 197, 903, 4279, 20793]
+        for n, n_reps, n_dissections in zip(range(3, 11), reps_count, little_schroeder):
+            reps = orbit_representatives(n)
+            assert len(reps) == n_reps
+            orbits = [
+                {tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in rep)) for p in dihedral_maps(n)}
+                for rep in reps
+            ]
+            for rep, orbit in zip(reps, orbits):
+                assert rep == min(orbit)
+            # disjoint orbits that together hold every dissection
+            union = set().union(*orbits)
+            assert sum(len(orbit) for orbit in orbits) == len(union) == n_dissections
+            assert union == set(dissections(n))
+
+    def test_census_is_dihedrally_symmetric(self):
+        for n in range(3, 9):
+            census = endpoint_pair_maxima(n)
+            for p in dihedral_maps(n):
+                for x, y in combinations(range(n), 2):
+                    a, b = sorted((p[x], p[y]))
+                    assert census[a * n + b].tolist() == census[x * n + y].tolist()
 
 
 class TestEnumerateOuterplanar:
@@ -202,7 +240,7 @@ class TestExtremalValue:
 
     def test_size_caps(self):
         with pytest.raises(UnsupportedSizeError):
-            extremal_value(9, 3)
+            extremal_value(10, 3)
         with pytest.raises(ValueError):
             extremal_value(6, 7)
         with pytest.raises(ValueError):
@@ -218,14 +256,14 @@ class TestExtremalValue:
         # the cache must not let a worker-count comparison read one sweep
         # three times
         sweeps = []
-        stream = search.owned_chord_subsets
+        representatives = search.orbit_representatives
 
         def counted(n):
             sweeps.append(n)
-            return stream(n)
+            return representatives(n)
 
         monkeypatch.setattr(search, "_sweep_cache", {})
-        monkeypatch.setattr(search, "owned_chord_subsets", counted)
+        monkeypatch.setattr(search, "orbit_representatives", counted)
         for jobs in (1, 2, 8):
             for k in (3, 4):
                 extremal_value(6, k, jobs=jobs)
@@ -234,14 +272,35 @@ class TestExtremalValue:
 
     def test_class_representatives_give_every_witness(self):
         # canonicalising one graph per rotation/reflection class gives the
-        # same witnesses as canonicalising every maximising labeled graph
+        # same witnesses as canonicalising every maximising labeled graph;
+        # the kernel run over every dissection, not one per orbit, yields
+        # all of those graphs and the census without symmetrising
         for n in range(4, 8):
-            best, tied, _ = search._sweep_block((n, list(owned_chord_subsets(n))))
+            best, tied, census = search._sweep_block((n, dissections(n)))
             for k in range(2, n + 1):
                 every = {canonical_form(Graph(n, edges)).decode() for edges in tied[k]}
                 report = extremal_value(n, k)
                 assert report.max_copies == best[k]
                 assert report.witnesses == tuple(sorted(every))
+            assert census.tolist() == endpoint_pair_maxima(n).tolist()
+
+    def test_n9_values(self):
+        # equal to a sweep over every dissection rather than one per orbit,
+        # run once at n = 9
+        best = {m: extremal_value(9, m).max_copies for m in range(2, 10)}
+        assert best == {2: 15, 3: 28, 4: 22, 5: 18, 6: 13, 7: 10, 8: 9, 9: 1}
+        assert best[3] == comb(8, 2)
+        witnesses = {m: extremal_value(9, m).witnesses for m in range(2, 10)}
+        assert {m: len(w) for m, w in witnesses.items()} == {
+            2: 27, 3: 1, 4: 9, 5: 6, 6: 2, 7: 2, 8: 1, 9: 1
+        }
+        star9 = canonical_form(Graph(9, [(0, v) for v in range(1, 9)])).decode()
+        assert witnesses[3] == (star9,)
+        for m, strings in witnesses.items():
+            for w in strings:
+                assert brute_count_induced_paths(from_graph6(w), m) == best[m]
+        census = endpoint_pair_maxima(9)
+        assert [int(census[:, m].max()) for m in range(2, 10)] == [1, 2, 3, 5, 6, 4, 2, 1]
 
     def test_matches_recorded_reference(self):
         ref = json.loads(SEARCH_REFERENCE.read_text())
@@ -297,6 +356,32 @@ class TestEndpointCensus:
             maxima = endpoint_pair_maxima(n)
             for m in range(2, n + 1):
                 assert int(maxima[:, m].max()) <= fib(m)
+
+
+@st.composite
+def outerplanar_on_the_cycle(draw):
+    """A dissection of the n-gon drawn chord by chord, plus a cycle-edge subset."""
+    n = draw(st.integers(3, 9))
+    diagonals = [(i, j) for i in range(n) for j in range(i + 2, n) if (i, j) != (0, n - 1)]
+    chords = []
+    for d in draw(st.lists(st.sampled_from(diagonals), max_size=n)) if diagonals else []:
+        if d not in chords and not any(crosses(d, c) for c in chords):
+            chords.append(d)
+    cycle = [(i, (i + 1) % n) for i in range(n)]
+    kept = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return Graph(n, chords + [e for e, keep in zip(cycle, kept) if keep])
+
+
+class TestSweepDominatesEveryGraph:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(outerplanar_on_the_cycle())
+    def test_counts_within_sweep_maxima(self, g):
+        n = g.n
+        census = endpoint_pair_maxima(n)
+        for m in range(2, n + 1):
+            assert count_induced_paths(g, m).copies <= extremal_value(n, m).max_copies
+            for x, y in combinations(range(n), 2):
+                assert count_induced_paths_between(g, x, y, m) <= int(census[x * n + y, m])
 
 
 class TestBruteForceAgreement:

@@ -81,8 +81,8 @@ class TestSearch:
         assert json.loads(path.read_text())["max_copies"] == 6
 
     def test_unsupported_size_message(self, capsys):
-        code, _, err = run_cli(capsys, "search", "--n", "9", "--k", "3", "--jobs", "1")
-        assert code == 2 and "3 <= n <= 8" in err
+        code, _, err = run_cli(capsys, "search", "--n", "10", "--k", "3", "--jobs", "1")
+        assert code == 2 and "3 <= n <= 9" in err
 
 
 class TestConstructAndDual:
