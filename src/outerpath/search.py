@@ -4,11 +4,11 @@ Every maximal outerplanar graph on n >= 3 vertices is a triangulated
 convex polygon, so every outerplanar graph (up to relabeling the outer
 cycle to the identity) is an edge subset of some polygon triangulation:
 a subset of the n cycle edges plus a non-crossing chord set.  One apex
-recursion enumerates the triangulations (every apex over each base,
-Catalan(n-2) of them) and draws ``random_outerplanar``'s (one random
-apex).  Giving each chord set to the first triangulation that contains
-it lists the dissections of the n-gon once each, little-Schroeder(n) of
-them.
+recursion over the n-gon enumerates the triangulations (every apex over
+each base, Catalan(n-2) of them), draws ``random_outerplanar``'s (one
+random apex) and, with each chord to an apex's left part present or
+absent, lists the dissections of the n-gon directly, each once,
+little-Schroeder(n) of them.
 
 Rotating or reflecting the outer cycle changes no count, so one sweep
 per n scans only one dissection D per dihedral orbit (75 of the 903 at
@@ -54,30 +54,56 @@ def catalan(m: int) -> int:
     return comb(2 * m, m) // (m + 1)
 
 
-def _triangulation_chords(
-    lo: int, hi: int, apexes: Callable[[int, int], Iterable[int]]
-) -> Iterator[Edges]:
-    """Chord sets triangulating the polygon on positions lo..hi over base (lo, hi).
+def _every_apex(lo: int, hi: int) -> range:
+    return range(lo + 1, hi)
 
-    ``apexes(lo, hi)`` gives the apexes to try over each base.  The base
-    triangle's chords come before those of its left and right parts.
+
+def _polygon_chords(
+    n: int, apexes: Callable[[int, int], Iterable[int]], dissect: bool = False
+) -> Iterator[Edges]:
+    """Chord sets of the n-gon on positions 0..n-1, built over the base (0, n-1).
+
+    Over a base (lo, hi), the apex c is the corner next to hi of the face
+    on the base, and ``apexes(lo, hi)`` gives the apexes to try.  The
+    chord (c, hi) is present whenever c..hi is a polygon.  The chord
+    (lo, c) is present too, which gives triangulations, or, with
+    ``dissect``, also absent, when the face over (lo, c) merges into the
+    base's face; that gives every dissection once.  The base's chords
+    come before those of the parts lo..c and c..hi.
     """
+    if not 3 <= n <= TRIANGULATION_CAP:
+        raise ValueError(f"polygon enumeration supports 3 <= n <= {TRIANGULATION_CAP}")
+    return _chords_over(0, n - 1, apexes, dissect)
+
+
+def _chords_over(
+    lo: int, hi: int, apexes: Callable[[int, int], Iterable[int]], dissect: bool
+) -> Iterator[Edges]:
     if hi - lo < 2:
         yield ()
         return
     for c in apexes(lo, hi):
-        extra = ((lo, c),) if c - lo >= 2 else ()
-        if hi - c >= 2:
-            extra += ((c, hi),)
-        for left in _triangulation_chords(lo, c, apexes):
-            for right in _triangulation_chords(c, hi, apexes):
-                yield extra + left + right
+        base = ((c, hi),) if hi - c >= 2 else ()
+        # a dissection may also leave (lo, c) out
+        merged = base if dissect and c - lo >= 2 else None
+        if c - lo >= 2:
+            base = ((lo, c),) + base
+        for left in _chords_over(lo, c, apexes, dissect):
+            for right in _chords_over(c, hi, apexes, dissect):
+                yield base + left + right
+                if merged is not None:
+                    yield merged + left + right
 
 
-def triangulation_chord_sets(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    if not 3 <= n <= TRIANGULATION_CAP:
-        raise ValueError(f"triangulation enumeration supports 3 <= n <= {TRIANGULATION_CAP}")
-    for chords in _triangulation_chords(0, n - 1, lambda lo, hi: range(lo + 1, hi)):
+def triangulation_chord_sets(n: int) -> Iterator[Edges]:
+    for chords in _polygon_chords(n, _every_apex):
+        yield tuple(sorted(chords))
+
+
+def dissections(n: int) -> Iterator[Edges]:
+    """Each dissection of the n-gon 0..n-1 by non-crossing chords once, as a
+    sorted chord tuple: little-Schroeder(n) of them (OEIS A001003)."""
+    for chords in _polygon_chords(n, _every_apex, dissect=True):
         yield tuple(sorted(chords))
 
 
@@ -95,25 +121,20 @@ def enumerate_triangulations(n: int) -> Iterator[Graph]:
 def enumerate_outerplanar(n: int) -> Iterator[Graph]:
     """Every edge subset of a triangulation of the n-gon 0..n-1, each graph once.
 
-    Each graph is a dissection of the n-gon (a chord set of
-    :func:`owned_chord_subsets`) plus a subset of the n cycle edges:
-    little-Schroeder(n) * 2^n graphs.
+    Each graph is a dissection of the n-gon (see :func:`dissections`)
+    plus a subset of the n cycle edges: little-Schroeder(n) * 2^n graphs.
     """
     cycle = _cycle_edges(n)
-    for _, owned in owned_chord_subsets(n):
-        for chords in owned:
-            for subset in range(1 << n):
-                yield Graph(n, [e for i, e in enumerate(cycle) if subset >> i & 1] + list(chords))
+    for chords in dissections(n):
+        for subset in range(1 << n):
+            yield Graph(n, [e for i, e in enumerate(cycle) if subset >> i & 1] + list(chords))
 
 
 def random_outerplanar(n: int, rng: random.Random) -> Graph:
     """Random edge subset of the triangulation drawn with one random apex per base."""
-    if not 3 <= n <= TRIANGULATION_CAP:
-        raise ValueError(f"random generation supports 3 <= n <= {TRIANGULATION_CAP}")
-
+    triangulation = _polygon_chords(n, lambda lo, hi: (rng.randint(lo + 1, hi - 1),))
     keep = rng.uniform(0.3, 1.0)
-    chords = next(_triangulation_chords(0, n - 1, lambda lo, hi: (rng.randint(lo + 1, hi - 1),)))
-    edges = _cycle_edges(n) + list(chords)
+    edges = _cycle_edges(n) + list(next(triangulation))
     return Graph(n, [e for e in edges if rng.random() < keep])
 
 
@@ -204,39 +225,17 @@ class SearchReport:
         return out
 
 
-def owned_chord_subsets(n: int) -> Iterator[tuple[Edges, list[Edges]]]:
-    """Each non-crossing chord set of the n-gon once, under its owner.
-
-    The owner of a chord set is the first triangulation, in
-    :func:`triangulation_chord_sets` order, that contains it.  Yields
-    ``(chords, owned)`` for every triangulation, where ``owned`` lists the
-    chord subsets it owns in ascending subset-mask order.  The owned sets
-    are the dissections of the n-gon, counted by the little Schroeder
-    numbers (OEIS A001003).
-    """
-    seen: set[Edges] = set()
-    for chords in triangulation_chord_sets(n):
-        owned = []
-        for sub in range(1 << len(chords)):
-            key = tuple(chords[i] for i in range(len(chords)) if sub >> i & 1)
-            if key not in seen:
-                seen.add(key)
-                owned.append(key)
-        yield chords, owned
-
-
 def orbit_representatives(n: int) -> list[Edges]:
     """One dissection of the n-gon per rotation/reflection orbit.
 
     Each orbit is represented by its least chord set, the one
     :func:`_dihedral_min` gives; representatives come in
-    :func:`owned_chord_subsets` order.  They number 1, 2, 3, 9, 20, 75,
-    262, 1117 for n = 3..10.
+    :func:`dissections` order.  They number 1, 2, 3, 9, 20, 75, 262, 1117
+    for n = 3..10.
     """
     return [
         chords
-        for _, owned in owned_chord_subsets(n)
-        for chords in owned
+        for chords in dissections(n)
         if all(tuple(sorted(image)) >= chords for image in _dihedral_images(n, chords))
     ]
 

@@ -42,11 +42,12 @@ from .graph6 import from_graph6, to_graph6
 from .outerplanar import OuterEmbedding
 from .paths import count_induced_p3_closed_form, count_induced_paths
 from .search import (
+    _cycle_edges,
     catalan,
+    dissections,
     endpoint_pair_maxima,
     enumerate_triangulations,
     extremal_value,
-    owned_chord_subsets,
     random_outerplanar,
     triangulation_chord_sets,
 )
@@ -97,11 +98,10 @@ class VerifyReport:
 
 def two_connected_corpus(n: int) -> Iterator[tuple[Graph, OuterEmbedding]]:
     """Distinct labeled 2-connected outerplanar graphs: full cycle + chords."""
-    cyc = [(i, (i + 1) % n) for i in range(n)]
+    cycle = _cycle_edges(n)
     emb = OuterEmbedding.identity(n)
-    for _, owned in owned_chord_subsets(n):
-        for chords in owned:
-            yield Graph(n, cyc + list(chords)), emb
+    for chords in dissections(n):
+        yield Graph(n, cycle + list(chords)), emb
 
 
 def random_bounded_degree_tree(n: int, k: int, rng: random.Random) -> Tree:

@@ -4,6 +4,7 @@ from itertools import combinations
 from math import comb
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +29,7 @@ from outerpath import (
     triangulation_chord_sets,
     verify_fib_bounds,
 )
-from outerpath.search import orbit_representatives, owned_chord_subsets
+from outerpath.search import dissections, orbit_representatives
 
 from helpers import brute_count_induced_paths
 
@@ -53,10 +54,14 @@ class TestTriangulations:
             assert len(seen) == catalan(n - 2)
 
     def test_range_checked(self):
-        with pytest.raises(ValueError):
-            list(triangulation_chord_sets(2))
-        with pytest.raises(ValueError):
-            list(triangulation_chord_sets(17))
+        # one range check serves triangulations, dissections and random draws
+        for n in (2, 17):
+            with pytest.raises(ValueError):
+                list(triangulation_chord_sets(n))
+            with pytest.raises(ValueError):
+                list(dissections(n))
+            with pytest.raises(ValueError):
+                random_outerplanar(n, random.Random(0))
 
 
 def crosses(a, b):
@@ -64,39 +69,37 @@ def crosses(a, b):
     return i < k < j < l or k < i < l < j
 
 
-def dissections(n):
-    return [sub for _, subs in owned_chord_subsets(n) for sub in subs]
-
-
 def dihedral_maps(n):
     """The 2n rotations and reflections of the cycle 0..n-1, as vertex maps."""
     return [[(r + sign * v) % n for v in range(n)] for r in range(n) for sign in (1, -1)]
 
 
-class TestOwnedChordSubsets:
+def noncrossing_diagonal_sets(n):
+    """Every subset of the n-gon's diagonals with no crossing pair, as a sorted tuple."""
+    diagonals = [(i, j) for i in range(n) for j in range(i + 2, n) if (i, j) != (0, n - 1)]
+    masks = np.arange(1 << len(diagonals), dtype=np.uint32)
+    crossing = np.zeros(len(masks), dtype=bool)
+    for i, d in enumerate(diagonals):
+        crossed = sum(1 << j for j, e in enumerate(diagonals) if crosses(d, e))
+        crossing |= (masks >> i & 1 == 1) & (masks & crossed != 0)
+    return [
+        tuple(d for i, d in enumerate(diagonals) if mask >> i & 1)
+        for mask in np.flatnonzero(~crossing).tolist()
+    ]
+
+
+class TestDissections:
     def test_counts_are_little_schroeder_numbers(self):
         # OEIS A001003: dissections of the n-gon by non-crossing diagonals
         little_schroeder = [1, 3, 11, 45, 197, 903, 4279, 20793]
         for n, expected in zip(range(3, 11), little_schroeder):
-            owned = dissections(n)
-            assert len(owned) == expected
-            assert len(set(owned)) == expected
+            listed = list(dissections(n))
+            assert len(listed) == expected
+            assert len(set(listed)) == expected
 
-    def test_each_dissection_once_under_the_first_triangulation_holding_it(self):
-        for n in range(3, 8):
-            diagonals = [(i, j) for i in range(n) for j in range(i + 2, n) if (i, j) != (0, n - 1)]
-            dissections = set()
-            for mask in range(1 << len(diagonals)):
-                chosen = [d for i, d in enumerate(diagonals) if mask >> i & 1]
-                if not any(crosses(a, b) for a, b in combinations(chosen, 2)):
-                    dissections.add(tuple(chosen))
-            stream = list(owned_chord_subsets(n))
-            owned = [sub for _, subs in stream for sub in subs]
-            assert sorted(owned) == sorted(dissections)
-            for t, (chords, subs) in enumerate(stream):
-                for sub in subs:
-                    assert set(sub) <= set(chords)
-                    assert not any(set(sub) <= set(earlier) for earlier, _ in stream[:t])
+    def test_equal_to_brute_force_filter(self):
+        for n in range(3, 9):
+            assert sorted(dissections(n)) == sorted(noncrossing_diagonal_sets(n))
 
 
 class TestOrbitRepresentatives:
@@ -276,7 +279,7 @@ class TestExtremalValue:
         # the kernel run over every dissection, not one per orbit, yields
         # all of those graphs and the census without symmetrising
         for n in range(4, 8):
-            best, tied, census = search._sweep_block((n, dissections(n)))
+            best, tied, census = search._sweep_block((n, list(dissections(n))))
             for k in range(2, n + 1):
                 every = {canonical_form(Graph(n, edges)).decode() for edges in tied[k]}
                 report = extremal_value(n, k)
