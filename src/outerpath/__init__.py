@@ -34,8 +34,6 @@ from .paths import (
 from .chords import (
     ChordStats,
     SidePartition,
-    check_crossing_bound,
-    check_quadratic_bound,
     chord_stats,
     partition_is_complete,
     phi,
@@ -51,7 +49,7 @@ from .constructions import (
     h_count,
     lower_bound_value,
 )
-from .dual import DualTree, Tree, balanced_edge_cut, side_face_counts, split_by_chord, weak_dual
+from .dual import DualTree, Tree, balanced_edge_cut, side_face_counts, weak_dual
 from .search import (
     SearchReport,
     catalan,
@@ -61,7 +59,6 @@ from .search import (
     extremal_value,
     random_outerplanar,
     triangulation_chord_sets,
-    verify_fib_bounds,
 )
 
 __version__ = "1.0.0"

@@ -287,13 +287,3 @@ def side_inequalities(stats: ChordStats) -> dict[str, bool]:
         "t2": stats.t2 <= stats.d1_prime - 1 + stats.a_prime + 1,
         "q2": stats.q2 <= stats.d2_prime - 1 + stats.a_prime + 1,
     }
-
-
-def check_crossing_bound(g: Graph, emb: OuterEmbedding, chord: tuple[int, int]) -> bool:
-    """Crossing count bounded by the six endpoint-stub products."""
-    return phi(g, emb, chord) <= chord_stats(g, emb, chord).six_product_bound
-
-
-def check_quadratic_bound(g: Graph, emb: OuterEmbedding, chord: tuple[int, int]) -> bool:
-    """Crossing count bounded by n1*n2 + n1 + n2."""
-    return phi(g, emb, chord) <= chord_stats(g, emb, chord).quadratic_bound

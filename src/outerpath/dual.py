@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Graph, VertexSet
+from .graph import Graph
 from .outerplanar import OuterEmbedding, _regions, verify_embedding
 
 
@@ -173,31 +173,6 @@ def balanced_edge_cut(t: Tree, k: int) -> tuple[int, int]:
             "invariant violated"
         )
     return best
-
-
-def split_by_chord(g: Graph, emb: OuterEmbedding, chord: tuple[int, int]) -> tuple[VertexSet, VertexSet]:
-    """Vertex sets of the two sides an edge cuts the cyclic order into.
-
-    Both sides contain both endpoints, so their sizes add to n + 2.  The
-    first side walks forward (increasing position, cyclically) from
-    chord[0] to chord[1].
-    """
-    x, y = chord
-    if not g.has_edge(x, y):
-        raise ValueError(f"({x},{y}) is not an edge")
-    if not verify_embedding(g, emb):
-        raise ValueError("invalid embedding")
-    pos = emb.positions()
-    n = g.n
-    u_mask = 0
-    i = pos[x]
-    while True:
-        u_mask |= 1 << emb.order[i]
-        if i == pos[y]:
-            break
-        i = (i + 1) % n
-    up_mask = (g.full_mask & ~u_mask) | (1 << x) | (1 << y)
-    return u_mask, up_mask
 
 
 def side_face_counts(dual: DualTree, cut: tuple[int, int]) -> tuple[int, int]:

@@ -41,7 +41,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .constructions import fib
 from .graph import SCHEMA, Graph, UnsupportedSizeError, canonical_form
 
 TRIANGULATION_CAP = 16
@@ -410,15 +409,3 @@ def endpoint_pair_maxima(n: int, jobs: int = 1) -> np.ndarray:
     if not 3 <= n <= SEARCH_CAP:
         raise UnsupportedSizeError(f"endpoint census supports 3 <= n <= {SEARCH_CAP}")
     return _sweep(n, jobs).pair_maxima
-
-
-def verify_fib_bounds(n: int, k: int, jobs: int = 1) -> bool:
-    """Endpoint counts within fib(k+1) everywhere, and the extremal value
-    within fib(k+1) * C(n, 2)."""
-    if not 1 <= k < n:
-        raise ValueError(f"k must be in 1..{n - 1}, got {k}")
-    maxima = endpoint_pair_maxima(n, jobs=jobs)
-    if int(maxima[:, k + 1].max()) > fib(k + 1):
-        return False
-    report = extremal_value(n, k + 1, jobs=jobs)
-    return report.max_copies <= fib(k + 1) * comb(n, 2)

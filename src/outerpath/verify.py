@@ -139,12 +139,9 @@ def random_bounded_degree_tree(n: int, k: int, rng: random.Random) -> Tree:
     return Tree._unchecked(n, tuple(zip(parents, range(1, n))))
 
 
-def _star(n: int) -> Graph:
-    return Graph(n, [(0, v) for v in range(1, n)])
-
-
-def _canon(g: Graph) -> str:
-    return canonical_form(g).decode("ascii")
+def _canon(kind: str, n: int | None = None) -> str:
+    """Canonical graph6 of a named construction, as witnesses are listed."""
+    return canonical_form(build(ConstructionSpec(kind, n=n))[0]).decode("ascii")
 
 
 # -- the checks ---------------------------------------------------------------
@@ -186,14 +183,12 @@ def check_p3_extremal_table(jobs: int):
             if report.max_copies != comb(n - 1, 2):
                 ok = False
             # equality only for the star from n = 7 on
-            if report.witnesses != (_canon(_star(n)),):
+            if report.witnesses != (_canon("star", n),):
                 ok = False
-        if n == 4 and _canon(Graph(4, [(i, (i + 1) % 4) for i in range(4)])) not in report.witnesses:
+        if n == 4 and _canon("cycle", 4) not in report.witnesses:
             ok = False
-        if n == 5:
-            pendant = Graph(5, [(i, (i + 1) % 4) for i in range(4)] + [(0, 4)])
-            if _canon(pendant) not in report.witnesses:
-                ok = False
+        if n == 5 and _canon("cycle_pendant", 5) not in report.witnesses:
+            ok = False
     return ok, observed, {str(n): v for n, v in expected_values.items()}
 
 
@@ -201,8 +196,8 @@ def check_p3_extremal_table(jobs: int):
 def check_p3_witnesses_n6(jobs: int):
     """n = 6 extremal witnesses include the star and the long-chord hexagon."""
     report = extremal_value(6, 3, jobs=jobs)
-    star6 = _canon(_star(6))
-    hexchord = _canon(build(ConstructionSpec("c6_chord"))[0])
+    star6 = _canon("star", 6)
+    hexchord = _canon("c6_chord")
     ok = star6 in report.witnesses and hexchord in report.witnesses
     return ok, {"witnesses": list(report.witnesses)}, {"must_include": sorted([star6, hexchord])}
 

@@ -5,15 +5,13 @@ import pytest
 from outerpath import (
     Graph,
     OuterEmbedding,
-    check_crossing_bound,
-    check_quadratic_bound,
     chord_stats,
     partition_is_complete,
     phi,
     side_inequalities,
     side_partition,
-    split_by_chord,
 )
+from outerpath.chords import chord_instances
 from outerpath.verify import two_connected_corpus
 
 from helpers import brute_side_classes, side_arc
@@ -25,9 +23,8 @@ def cycle(n):
 
 def brute_phi(g, emb, chord, k):
     """Independent crossing count: scan all ordered k-tuples."""
-    u, up = split_by_chord(g, emb, chord)
-    strict_u = u & ~(1 << chord[0]) & ~(1 << chord[1])
-    strict_up = up & ~(1 << chord[0]) & ~(1 << chord[1])
+    strict_u = sum(1 << v for v in side_arc(emb.order, chord, 1)[1:-1])
+    strict_up = sum(1 << v for v in side_arc(emb.order, chord, -1)[1:-1])
     count = 0
     for verts in combinations(range(g.n), k):
         for order in permutations(verts):
@@ -170,9 +167,12 @@ class TestPhi:
             assert phi(g, emb, e) == 0
 
     def test_agrees_with_brute_on_corpus_n6(self):
+        # both the per-chord phi and the batch count that C8 reads
         for g, emb in two_connected_corpus(6):
-            for e in g.edges():
-                assert phi(g, emb, e) == brute_phi(g, emb, e, 4)
+            batch = [crossing for _, crossing, _ in chord_instances(g, emb)]
+            brute = [brute_phi(g, emb, e, 4) for e in g.edges()]
+            assert [phi(g, emb, e) for e in g.edges()] == brute
+            assert batch == brute
 
     def test_triangle_has_no_p4_at_all(self):
         g = cycle(3)
@@ -183,14 +183,14 @@ class TestInequalities:
     def test_eq1_holds_on_corpus(self):
         for n in range(3, 8):
             for g, emb in two_connected_corpus(n):
-                for e in g.edges():
-                    assert check_crossing_bound(g, emb, e)
+                for st, crossing, _ in chord_instances(g, emb):
+                    assert crossing <= st.six_product_bound
 
     def test_quadratic_bound_holds_on_corpus(self):
         for n in range(3, 8):
             for g, emb in two_connected_corpus(n):
-                for e in g.edges():
-                    assert check_quadratic_bound(g, emb, e)
+                for st, crossing, _ in chord_instances(g, emb):
+                    assert crossing <= st.quadratic_bound
 
     def test_neighbor_count_lines_hold_on_corpus(self):
         # the s1/p1/t1/q1 lines and both size sums are identities of the

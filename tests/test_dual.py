@@ -9,13 +9,12 @@ from outerpath import (
     OuterEmbedding,
     Tree,
     balanced_edge_cut,
+    chord_stats,
     maximal_completion,
     random_outerplanar,
     side_face_counts,
-    split_by_chord,
     triangulation_chord_sets,
     verify,
-    vertex_set,
     weak_dual,
 )
 
@@ -232,28 +231,7 @@ class TestTreeEdgeCutCheck:
 
 
 class TestSplitByChord:
-    def test_antipodal_split(self):
-        g = cycle(6).with_edges([(0, 3)])
-        u, up = split_by_chord(g, OuterEmbedding.identity(6), (0, 3))
-        assert u == vertex_set([0, 1, 2, 3])
-        assert up == vertex_set([3, 4, 5, 0])
-
-    def test_cycle_edge_split(self):
-        g = cycle(6)
-        u, up = split_by_chord(g, OuterEmbedding.identity(6), (0, 1))
-        assert u == vertex_set([0, 1])
-        assert up == g.full_mask
-
-    def test_sizes_add_to_n_plus_2(self):
-        g = cycle(8).with_edges([(0, 3), (3, 7)])
-        emb = OuterEmbedding.identity(8)
-        for e in g.edges():
-            u, up = split_by_chord(g, emb, e)
-            assert u.bit_count() + up.bit_count() == 10
-
-    def test_non_edge_rejected(self):
-        with pytest.raises(ValueError):
-            split_by_chord(cycle(6), OuterEmbedding.identity(6), (0, 2))
+    """Face counts on the two sides of the chord a dual edge crosses."""
 
     def test_side_face_counts_rejects_a_cut_off_the_dual_tree(self):
         g = maximal_completion(cycle(6), OuterEmbedding.identity(6))
@@ -283,5 +261,5 @@ class TestDualCutBridge:
                 assert 3 * min(f1, f2) >= f - 1
                 # the host edge of the cut splits vertices consistently
                 host = dual.shared_edge[cut]
-                u, up = split_by_chord(g, emb, host)
-                assert {u.bit_count(), up.bit_count()} == {f1 + 2, f2 + 2}
+                st = chord_stats(g, emb, host)
+                assert {st.n1, st.n2} == {f1 + 2, f2 + 2}

@@ -27,7 +27,6 @@ from outerpath import (
     search,
     to_graph6,
     triangulation_chord_sets,
-    verify_fib_bounds,
 )
 from outerpath.search import dissections, orbit_representatives
 
@@ -341,11 +340,6 @@ class TestEndpointCensus:
                             best[m] = c
         for m in range(2, n + 1):
             assert best[m] == int(maxima[:, m].max())
-
-    def test_fib_bound_examples(self):
-        assert verify_fib_bounds(6, 2)
-        assert verify_fib_bounds(7, 1)
-        assert verify_fib_bounds(8, 4)
 
     def test_census_is_read_only(self):
         maxima = endpoint_pair_maxima(5)
