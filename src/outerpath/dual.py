@@ -5,6 +5,11 @@ when faces share an interior edge; for a triangulated polygon it is a
 tree with n-2 nodes and maximum degree 3.  ``balanced_edge_cut`` realizes
 the guarantee that a tree with maximum degree k has an edge whose removal
 leaves both components with at least (n-1)/k nodes.
+
+A ``Tree`` lists its edges in connected order, as (parent, child) pairs:
+each edge hangs a new node off one already reached, starting from the
+first edge's parent, the root.  Walking the edges backwards then finishes
+every subtree before its parent edge is met, which is all the cut needs.
 """
 
 from __future__ import annotations
@@ -17,7 +22,12 @@ from .outerplanar import OuterEmbedding, _regions, verify_embedding
 
 @dataclass(frozen=True)
 class Tree:
-    """Plain tree on nodes 0..n-1; validated on construction."""
+    """Plain tree on nodes 0..n-1, edges as (parent, child) in connected order.
+
+    The first edge's parent is the root; every later edge's parent has
+    been reached by an earlier edge and its child has not.  n - 1 such
+    edges always span a tree.  Validated on construction.
+    """
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -28,23 +38,20 @@ class Tree:
             raise ValueError("tree needs at least one node")
         if len(self.edges) != n - 1:
             raise ValueError(f"tree on {n} nodes needs {n - 1} edges")
-        # union-find with path halving, inlined: trees of thousands of
-        # nodes are validated by the million in verify-paper
-        root = list(range(n))
-        for u, v in self.edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range")
-            while root[u] != u:
-                root[u] = u = root[root[u]]
-            while root[v] != v:
-                root[v] = v = root[root[v]]
-            if u == v:
-                raise ValueError("edges form a cycle")
-            root[u] = v
+        reached = {self.edges[0][0] if self.edges else 0}
+        for p, c in self.edges:
+            if not (0 <= p < n and 0 <= c < n):
+                raise ValueError(f"edge ({p},{c}) out of range")
+            if p not in reached:
+                raise ValueError(f"edge ({p},{c}) hangs off node {p}, not reached yet")
+            if c in reached:
+                raise ValueError(f"edge ({p},{c}) closes a cycle or repeats an edge")
+            reached.add(c)
 
     @classmethod
     def _unchecked(cls, n: int, edges: tuple[tuple[int, int], ...]) -> "Tree":
-        # Internal fast path; the edges must already form a tree on 0..n-1.
+        # Internal fast path; the edges must already be (parent, child)
+        # pairs in connected order, spanning 0..n-1.
         t = object.__new__(cls)
         object.__setattr__(t, "n", n)
         object.__setattr__(t, "edges", edges)
@@ -70,7 +77,26 @@ class DualTree:
     shared_edge: dict[tuple[int, int], tuple[int, int]] = field(compare=False)
 
     def to_tree(self) -> Tree:
-        return Tree(len(self.nodes), self.edges)
+        """The dual as a :class:`Tree`, its edges in BFS order from face 0."""
+        n = len(self.nodes)
+        neigh: list[list[int]] = [[] for _ in range(n)]
+        for i, j in self.edges:
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"dual edge ({i},{j}) out of range")
+            neigh[i].append(j)
+            neigh[j].append(i)
+        queue = [0] if n else []
+        reached = [True] + [False] * (n - 1)
+        edges = []
+        for u in queue:
+            for w in neigh[u]:
+                if not reached[w]:
+                    reached[w] = True
+                    queue.append(w)
+                    edges.append((u, w))
+        if len(edges) != len(self.edges):
+            raise ValueError("dual edges do not form a tree")
+        return Tree(n, tuple(edges))
 
     def to_dot(self) -> str:
         lines = ["graph dual {"]
@@ -126,47 +152,39 @@ def balanced_edge_cut(t: Tree, k: int) -> tuple[int, int]:
 
     Requires max degree <= k and k >= 3; such an edge always exists.  All
     edges are scanned and the one maximizing the smaller side is returned
-    (ties broken by smallest edge), which is at least as balanced as the
-    guarantee.  Comparison is exact: side >= (n-1)/k iff k*side >= n-1.
+    (ties broken by smallest edge, as (low, high)), which is at least as
+    balanced as the guarantee; the rule does not depend on the order of
+    the scan.  One backward pass over the parent-first edges of ``t``
+    finishes each subtree size before its parent edge is read, and
+    counts the children for the degree cap.  Comparison is exact:
+    side >= (n-1)/k iff k*side >= n-1.
     """
     if k < 3:
         raise ValueError(f"k must be >= 3, got {k}")
     n = t.n
     if n < 2:
         raise ValueError("tree must have at least one edge")
-    neigh: list[list[int]] = [[] for _ in range(n)]
-    for u, v in t.edges:
-        neigh[u].append(v)
-        neigh[v].append(u)
-    max_degree = max(map(len, neigh))
-    if max_degree > k:
-        raise ValueError(f"tree has max degree {max_degree} > k = {k}")
-
-    parent = [-1] * n
-    parent[0] = 0
-    topo = [0]
-    for u in topo:
-        for w in neigh[u]:
-            if parent[w] < 0:
-                parent[w] = u
-                topo.append(w)
-    # Children come after their parent in topo, so walking it backwards
-    # finishes each subtree size before the size is read.
     sub = [1] * n
+    # every node but the root has its parent edge, counted up front
+    deg = [1] * n
+    deg[t.edges[0][0]] = 0
     half = n // 2
     best = (n, n)
     best_side = -1
-    for u in reversed(topo[1:]):
-        p = parent[u]
-        side = sub[u]
+    for p, c in reversed(t.edges):
+        side = sub[c]
         sub[p] += side
+        deg[p] += 1
         if side > half:
             side = n - side
         if side >= best_side:
-            edge = (p, u) if p < u else (u, p)
+            edge = (p, c) if p < c else (c, p)
             if side > best_side or edge < best:
                 best_side = side
                 best = edge
+    max_degree = max(deg)
+    if max_degree > k:
+        raise ValueError(f"tree has max degree {max_degree} > k = {k}")
     if k * best_side < n - 1:
         raise RuntimeError(
             f"no edge meets the (n-1)/k threshold on a degree-{max_degree} tree; "

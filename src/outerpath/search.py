@@ -224,19 +224,32 @@ class SearchReport:
         return out
 
 
-def orbit_representatives(n: int) -> list[Edges]:
-    """One dissection of the n-gon per rotation/reflection orbit.
+def dihedral_orbits(n: int) -> Iterator[tuple[Edges, int]]:
+    """Each rotation/reflection orbit of the dissections of the n-gon once,
+    as its least chord set and its size.
 
-    Each orbit is represented by its least chord set, the one
-    :func:`_dihedral_min` gives; representatives come in
-    :func:`dissections` order.  They number 1, 2, 3, 9, 20, 75, 262, 1117
-    for n = 3..10.
+    The least chord set is the one :func:`_dihedral_min` gives, and the
+    size is the number of distinct chord sets among its 2n images, which
+    is the number of dissections in the orbit.  Orbits come in
+    :func:`dissections` order of their least chord sets.
     """
-    return [
-        chords
-        for chords in dissections(n)
-        if all(tuple(sorted(image)) >= chords for image in _dihedral_images(n, chords))
-    ]
+    for chords in dissections(n):
+        images = set()
+        for image in _dihedral_images(n, chords):
+            image = tuple(sorted(image))
+            if image < chords:
+                break
+            images.add(image)
+        else:
+            yield chords, len(images)
+
+
+def orbit_representatives(n: int) -> list[Edges]:
+    """One dissection of the n-gon per rotation/reflection orbit, its least
+    chord set, in :func:`dissections` order.  They number 1, 2, 3, 9, 20,
+    75, 262, 1117 for n = 3..10.
+    """
+    return [chords for chords, _ in dihedral_orbits(n)]
 
 
 def _sweep_block(args) -> tuple[list[int], list[list[Edges]], np.ndarray]:

@@ -44,6 +44,7 @@ from .paths import count_induced_p3_closed_form, count_induced_paths
 from .search import (
     _cycle_edges,
     catalan,
+    dihedral_orbits,
     dissections,
     endpoint_pair_maxima,
     enumerate_triangulations,
@@ -311,7 +312,14 @@ def chord_suite_counts(n_max: int = 8) -> dict:
     Returns counts for: the six-product bound on phi, the quadratic bound,
     partition completeness, the first-order side lines (s1/p1/t1/q1 plus
     both size sums) and the second-order side lines (s2/p2/t2/q2),
-    together with the instance total.
+    together with the instance total, all over :func:`two_connected_corpus`.
+
+    The corpus is walked one dissection per rotation/reflection orbit, and
+    each chord instance counts once per dissection in its orbit.  That is
+    exact: a rotation or reflection carries each instance onto one of the
+    representative's, and may swap the chord's two sides, its two
+    endpoints, or both, which maps each count's set of lines onto itself.
+    Single lines, such as s2 alone, are not preserved and are not reported.
     """
     first_order = ("size_sum", "s1", "p1", "size_sum_prime", "t1", "q1")
     second_order = ("s2", "p2", "t2", "q2")
@@ -324,15 +332,18 @@ def chord_suite_counts(n_max: int = 8) -> dict:
         "second_order_lines": 0,
     }
     for n in range(3, n_max + 1):
-        for g, emb in two_connected_corpus(n):
+        cycle = _cycle_edges(n)
+        emb = OuterEmbedding.identity(n)
+        for chords, weight in dihedral_orbits(n):
+            g = Graph(n, cycle + list(chords))
             for st, crossing, sides in chord_instances(g, emb):
-                counts["instances"] += 1
-                counts["phi_six_product"] += crossing > st.six_product_bound
-                counts["phi_quadratic"] += crossing > st.quadratic_bound
                 rep = side_inequalities(st)
-                counts["first_order_lines"] += sum(not rep[x] for x in first_order)
-                counts["second_order_lines"] += sum(not rep[x] for x in second_order)
-                counts["partition"] += sum(not partition_is_complete(side) for side in sides)
+                counts["instances"] += weight
+                counts["phi_six_product"] += weight * (crossing > st.six_product_bound)
+                counts["phi_quadratic"] += weight * (crossing > st.quadratic_bound)
+                counts["first_order_lines"] += weight * sum(not rep[x] for x in first_order)
+                counts["second_order_lines"] += weight * sum(not rep[x] for x in second_order)
+                counts["partition"] += weight * sum(not partition_is_complete(side) for side in sides)
     return counts
 
 

@@ -35,7 +35,7 @@ from outerpath import (
     side_inequalities,
     triangulation_chord_sets,
 )
-from outerpath.chords import chord_instances
+from outerpath.chords import chord_instances, partition_is_complete
 from outerpath.verify import (
     check_graph6_roundtrip,
     check_tree_edge_cut,
@@ -165,8 +165,11 @@ def test_criterion_07_tree_edge_cut():
 
 def test_criterion_08_chord_inequality_suite():
     counts = chord_suite_counts(8)
-    # One more pass over the same corpus profiles each second-order
-    # violation and checks s2/p2/t2/q2 against a naive recount.
+    # One more pass, over every labeled graph of the corpus, recounts the
+    # totals that chord_suite_counts weights by orbit size, profiles each
+    # second-order violation and checks s2/p2/t2/q2 against a naive recount.
+    first_order = ("size_sum", "s1", "p1", "size_sum_prime", "t1", "q1")
+    labeled = dict.fromkeys(counts, 0)
     per_line = Counter()
     excess = Counter()
     unshared = 0
@@ -175,11 +178,17 @@ def test_criterion_08_chord_inequality_suite():
     first_n = None
     for n in range(3, 9):
         for g, emb in two_connected_corpus(n):
-            for e, (st, _, _) in zip(g.edges(), chord_instances(g, emb)):
+            for e, (st, crossing, sides) in zip(g.edges(), chord_instances(g, emb)):
                 second = {"s2": st.s2, "p2": st.p2, "t2": st.t2, "q2": st.q2}
                 if brute_side_p3_counts(g, emb.order, e) != second:
                     oracle_misses += 1
                 written = side_inequalities(st)
+                labeled["instances"] += 1
+                labeled["phi_six_product"] += crossing > st.six_product_bound
+                labeled["phi_quadratic"] += crossing > st.quadratic_bound
+                labeled["partition"] += sum(not partition_is_complete(side) for side in sides)
+                labeled["first_order_lines"] += sum(not written[x] for x in first_order)
+                labeled["second_order_lines"] += sum(not written[x] for x in second)
                 for name, cap, shared in (
                     ("s2", st.d1 + st.a, st.has_v_ell),
                     ("p2", st.d2 + st.a, st.has_v_ell),
@@ -202,6 +211,7 @@ def test_criterion_08_chord_inequality_suite():
     # exactly one.
     observed = {
         **counts,
+        "labeled_pass": labeled,
         "second_order_profile": sum(per_line.values()),
         "excess": set(excess),
         "first_n": first_n,
@@ -223,6 +233,8 @@ def test_criterion_08_chord_inequality_suite():
         "corrected_lines": 0,
         "naive_recount_misses": 0,
     }
+    # the orbit-weighted totals equal those of the labeled pass
+    expected["labeled_pass"] = {key: expected[key] for key in counts}
     ok = observed == expected
     _report(
         8,

@@ -85,6 +85,11 @@ class TestTree:
             Tree(3, ((0, 1), (-1, 2)))
         with pytest.raises(ValueError):
             Tree(2, ((0, 0),))
+        # edges come parent-first, in connected order from the root
+        with pytest.raises(ValueError):
+            Tree(3, ((1, 2), (0, 1)))
+        with pytest.raises(ValueError):
+            Tree(3, ((0, 1), (2, 1)))
 
     def test_single_node(self):
         assert Tree(1, ()).max_degree() == 0
@@ -116,6 +121,7 @@ class TestWeakDual:
                 assert len(dual.nodes) == n - 2
                 t = dual.to_tree()
                 assert t.max_degree() <= 3
+                assert sorted(tuple(sorted(e)) for e in t.edges) == list(dual.edges)
                 # interior host edges (the chords) each back exactly one dual edge
                 hosts = sorted(dual.shared_edge.values())
                 assert hosts == sorted(chords)
@@ -158,7 +164,7 @@ class TestBalancedEdgeCut:
         assert balanced_edge_cut(path_tree(7), 3) == (2, 3)
         assert balanced_edge_cut(Tree(4, ((0, 1), (0, 2), (0, 3))), 3) == (0, 1)
         # the search meets these edges largest first
-        assert balanced_edge_cut(Tree(4, ((0, 3), (1, 3), (2, 3))), 3) == (0, 3)
+        assert balanced_edge_cut(Tree(4, ((3, 0), (3, 1), (3, 2))), 3) == (0, 3)
 
     def test_degree_cap_enforced(self):
         t = Tree(5, ((0, 1), (0, 2), (0, 3), (0, 4)))
@@ -177,6 +183,16 @@ class TestBalancedEdgeCut:
             seen = component(t, u, (u, v))
             small = min(len(seen), n - len(seen))
             assert Fraction(small) >= Fraction(n - 1, k)
+            if n > 120:
+                continue  # the recount below is quadratic in n
+            # the rule itself: the largest smaller side, then the smallest edge
+            sides = {}
+            for a, b in t.edges:
+                size = len(component(t, a, (a, b)))
+                sides[min(a, b), max(a, b)] = min(size, n - size)
+            largest = max(sides.values())
+            assert small == largest
+            assert (u, v) == min(e for e, side in sides.items() if side == largest)
 
 
 class TestTreeEdgeCutCheck:
