@@ -140,14 +140,12 @@ def induced_subgraph(g: Graph, s: VertexSet) -> Graph:
     return Graph._from_rows(tuple(rows))
 
 
-def _component_count(g: Graph, within: VertexSet) -> int:
+def _components(g: Graph, within: VertexSet) -> Iterator[VertexSet]:
+    """Vertex masks of the connected components of the subgraph induced by ``within``."""
     adj = g.adj
     remaining = within
-    count = 0
     while remaining:
-        seed = remaining & -remaining
-        comp = seed
-        frontier = seed
+        comp = frontier = remaining & -remaining
         while frontier:
             nxt = 0
             for v in bits(frontier):
@@ -156,12 +154,11 @@ def _component_count(g: Graph, within: VertexSet) -> int:
             comp |= nxt
             frontier = nxt
         remaining &= ~comp
-        count += 1
-    return count
+        yield comp
 
 
 def is_connected(g: Graph) -> bool:
-    return _component_count(g, g.full_mask) <= 1
+    return sum(1 for _ in _components(g, g.full_mask)) <= 1
 
 
 def blocks(g: Graph) -> list[VertexSet]:
@@ -211,22 +208,70 @@ def is_two_connected(g: Graph) -> bool:
     return g.n >= 3 and blocks(g) == [g.full_mask]
 
 
+def _rooted_code(adj: tuple[int, ...], v: int, parent: VertexSet) -> tuple[str, list[int]]:
+    """AHU code of the tree hanging from v, away from ``parent``, and its
+    vertices in preorder with each vertex's subtrees in code order."""
+    subtrees = sorted(_rooted_code(adj, w, 1 << v) for w in bits(adj[v] & ~parent))
+    code = "(" + "".join(c for c, _ in subtrees) + ")"
+    return code, [v] + [u for _, order in subtrees for u in order]
+
+
+def _forest_relabel(g: Graph) -> Graph:
+    """The forest g relabeled to a form shared by every forest isomorphic to it.
+
+    Each tree is rooted at its centre (at the centre giving the smaller
+    code when there are two) and coded bottom-up (Aho, Hopcroft and Ullman
+    1974); the trees are laid out in code order, each in the preorder of
+    :func:`_rooted_code`.  Equal codes mean isomorphic subtrees, which that
+    preorder lays out alike, so the edges land on the same positions.
+    """
+    adj = g.adj
+    trees = []
+    for comp in _components(g, g.full_mask):
+        centre = comp
+        while centre.bit_count() > 2:
+            leaves = 0
+            for v in bits(centre):
+                if (adj[v] & centre).bit_count() == 1:
+                    leaves |= 1 << v
+            centre &= ~leaves
+        trees.append(min(_rooted_code(adj, c, 0) for c in bits(centre)))
+    position = [0] * g.n
+    for i, v in enumerate(v for _, order in sorted(trees) for v in order):
+        position[v] = i
+    return Graph(g.n, [(position[u], position[v]) for u, v in g.edges()])
+
+
 @functools.lru_cache(maxsize=1 << 16)
 def canonical_form(g: Graph) -> bytes:
     """Lexicographically minimal upper-triangle encoding, equal iff isomorphic.
 
     The bit string is column-major: position m contributes the m bits
     linking it to positions 0..m-1 (earlier position = more significant
-    bit).  Branch-and-bound over vertex placements finds the minimum over
-    all relabelings; interchangeable twins (identical open or closed
-    neighborhoods) are explored once.  The result is the graph6 encoding
-    of the minimizing relabeling.
+    bit).  The result is the graph6 encoding of the minimizing relabeling,
+    found by :func:`_brute_form`.  A forest is first relabeled by
+    :func:`_forest_relabel` and looked up again, so isomorphic forests
+    share one cache entry and one brute search; the minimum over all
+    relabelings does not depend on the labeling it starts from.
+    """
+    if g.n > CANONICAL_CAP:
+        raise UnsupportedSizeError(f"canonical_form supports n <= {CANONICAL_CAP}, got {g.n}")
+    if g.edge_count() == g.n - sum(1 for _ in _components(g, g.full_mask)):
+        relabeled = _forest_relabel(g)
+        if relabeled != g:
+            return canonical_form(relabeled)
+    return _brute_form(g)
+
+
+def _brute_form(g: Graph) -> bytes:
+    """:func:`canonical_form` by branch-and-bound over vertex placements.
+
+    Finds the minimum over all relabelings; interchangeable twins
+    (identical open or closed neighborhoods) are explored once.
     """
     from .graph6 import to_graph6
 
     n = g.n
-    if n > CANONICAL_CAP:
-        raise UnsupportedSizeError(f"canonical_form supports n <= {CANONICAL_CAP}, got {n}")
     adj = g.adj
     best: list[int] | None = None
 

@@ -77,9 +77,23 @@ def count_induced_paths_between(g: Graph, x: int, y: int, k: int) -> int:
         raise ValueError("endpoints must be distinct")
     if not 2 <= k <= n:
         raise ValueError(f"path length k must be in 2..{n}, got {k}")
-    ends = [0] * n
-    ends[x] = 1 << y
-    return _count_walks(g, k, ends)
+    adj = g.adj
+    end = 1 << y
+
+    def extend(last: int, pmask: int, forb: int, depth: int) -> int:
+        cand = adj[last] & ~(pmask | forb)
+        if depth + 1 == k:
+            return cand >> y & 1
+        nforb = forb | adj[last]
+        # y next to a vertex before the last one can no longer end the path
+        if nforb & end:
+            return 0
+        total = 0
+        for w in bits(cand & ~end):
+            total += extend(w, pmask | (1 << w), nforb, depth + 1)
+        return total
+
+    return extend(x, 1 << x, 0, 1)
 
 
 def iter_induced_paths(g: Graph, k: int) -> Iterator[tuple[int, ...]]:

@@ -27,7 +27,9 @@ cycle.
 Work is split across processes by contiguous blocks of orbit
 representatives, each carrying 2^n subsets; the reduction (max, then
 union of maximising graphs) is associative, so reports are
-byte-identical for any worker count.
+byte-identical for any worker count.  The caller scans the first block
+and one child process per other block scans the rest; every child is
+reaped before the sweep returns (see :func:`_pool_map`).
 """
 
 from __future__ import annotations
@@ -379,11 +381,49 @@ def _chunked(items: list, jobs: int) -> list[list]:
     return [items[i : i + size] for i in range(0, len(items), size)]
 
 
+def _run_block(fn, block: list, conn) -> None:
+    """A child's work: fn over its block, or the exception that stopped it, sent back over conn."""
+    try:
+        reply = (True, [fn(a) for a in block])
+    except Exception as exc:
+        reply = (False, exc)
+    conn.send(reply)
+    conn.close()
+
+
 def _pool_map(fn, args_list: list, jobs: int) -> list:
+    """``[fn(a) for a in args_list]``, over at most ``jobs`` processes.
+
+    The arguments are split by :func:`_chunked`.  The caller runs the
+    first block itself; each other block runs in one child process of the
+    default start method, which sends its results, or the exception that
+    stopped it, back over a pipe.  An exception from any block is raised
+    here.  Every child is terminated and joined before this returns, so
+    its CPU time and memory count among the caller's reaped children.
+    """
     if jobs <= 1 or len(args_list) <= 1:
         return [fn(a) for a in args_list]
-    with multiprocessing.Pool(min(jobs, len(args_list))) as pool:
-        return pool.map(fn, args_list)
+    blocks = _chunked(args_list, jobs)
+    children = []
+    try:
+        for block in blocks[1:]:
+            receive, send = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(target=_run_block, args=(fn, block, send))
+            child.start()
+            send.close()
+            children.append((child, receive))
+        results = [fn(a) for a in blocks[0]]
+        for _, receive in children:
+            ok, value = receive.recv()
+            if not ok:
+                raise value
+            results.extend(value)
+        return results
+    finally:
+        for child, receive in children:
+            child.terminate()
+            child.join()
+            receive.close()
 
 
 def extremal_value(n: int, k: int, jobs: int = 1) -> SearchReport:

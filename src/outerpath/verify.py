@@ -291,10 +291,10 @@ def check_tree_edge_cut():
 def _cut_is_balanced(t: Tree, k: int, cut: tuple[int, int]) -> bool:
     """Whether ``cut`` is a tree edge leaving >= (n-1)/k nodes on each side.
 
-    Counts the sides itself instead of trusting the cut search.  The tree
-    must be shaped as :func:`random_bounded_degree_tree` emits it: edge i
-    is (parent, i + 1) with parent < i + 1, so one pass over the edges in
-    reverse finishes every subtree before adding it to its parent's.
+    Counts the sides itself instead of trusting the cut search.  Any
+    :class:`Tree` will do: its edges are (parent, child) pairs in connected
+    order, so one pass over them in reverse finishes every subtree before
+    adding it to its parent's.  ``cut`` must be given as (parent, child).
     """
     n = t.n
     parent = [-1] * n

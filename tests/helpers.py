@@ -197,3 +197,26 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
 def relabel(g: Graph, perm: list[int]) -> Graph:
     """New graph with vertex v renamed perm[v]."""
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def brute_canonical_graph6(g: Graph) -> bytes:
+    """graph6 of the relabeling whose column-major upper triangle is least,
+    found by scanning all n! vertex orders (networkx writes the graph6)."""
+    import networkx as nx
+
+    pairs = [(i, m) for m in range(1, g.n) for i in range(m)]
+    best = min(permutations(range(g.n)), key=lambda p: [g.has_edge(p[i], p[m]) for i, m in pairs])
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from((i, m) for i, m in pairs if g.has_edge(best[i], best[m]))
+    return nx.to_graph6_bytes(h, header=False).strip()
+
+
+def random_forest(n: int, rng: random.Random) -> Graph:
+    """Random forest on n vertices: each vertex after the first joins a random
+    earlier one with probability p, then the labels are shuffled."""
+    p = rng.choice((0.6, 0.9, 1.0))
+    edges = [(rng.randrange(v), v) for v in range(1, n) if rng.random() < p]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabel(Graph(n, edges), perm)

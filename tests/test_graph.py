@@ -9,14 +9,23 @@ from outerpath import (
     blocks,
     canonical_form,
     cut_vertices,
+    graph,
     induced_subgraph,
     is_connected,
     is_two_connected,
+    search,
     to_dot,
     vertex_set,
 )
 
-from helpers import brute_cut_vertices, brute_is_two_connected, random_graph, relabel
+from helpers import (
+    brute_canonical_graph6,
+    brute_cut_vertices,
+    brute_is_two_connected,
+    random_forest,
+    random_graph,
+    relabel,
+)
 
 
 def cycle(n):
@@ -168,6 +177,61 @@ class TestCanonicalForm:
             g = Graph(4, [pairs[i] for i in range(6) if mask >> i & 1])
             forms.add(canonical_form(g))
         assert len(forms) == 11
+
+
+def _atlas_forests():
+    for h in nx.graph_atlas_g():
+        if h.number_of_nodes() and nx.is_forest(h):
+            yield Graph(h.number_of_nodes(), h.edges())
+
+
+class TestForestForm:
+    def test_atlas_forests_match_a_scan_of_all_permutations(self):
+        forests = list(_atlas_forests())
+        # forests on 1..7 vertices (OEIS A005195)
+        assert len(forests) == 1 + 2 + 3 + 6 + 10 + 20 + 37
+        rng = random.Random(2024)
+        for g in forests:
+            expected = brute_canonical_graph6(g)
+            for _ in range(20):
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                assert canonical_form(relabel(g, perm)) == expected
+
+    def test_same_form_as_the_branch_and_bound_alone(self):
+        rng = random.Random(77)
+        for n in (8, 9):
+            for _ in range(25):
+                g = random_forest(n, rng)
+                assert canonical_form(g) == graph._brute_form(g)
+
+    def test_relabel_is_idempotent_and_shared_by_isomorphic_forests(self):
+        rng = random.Random(8)
+        for n in range(1, 10):
+            for _ in range(20):
+                g = random_forest(n, rng)
+                form = graph._forest_relabel(g)
+                assert graph._forest_relabel(form) == form
+                assert nx.is_isomorphic(nx.Graph(list(g.edges())), nx.Graph(list(form.edges())))
+                assert form.edge_count() == g.edge_count()
+                perm = list(range(n))
+                rng.shuffle(perm)
+                assert graph._forest_relabel(relabel(g, perm)) == form
+
+    def test_path_cell_runs_the_brute_search_once(self, monkeypatch):
+        # the 36 dihedral classes of the n = 9, k = 9 cell are all P9
+        brute = graph._brute_form
+        searched = []
+
+        def counted(g):
+            searched.append(g)
+            return brute(g)
+
+        monkeypatch.setattr(graph, "_brute_form", counted)
+        canonical_form.cache_clear()
+        report = search.extremal_value(9, 9)
+        assert len(searched) == 1
+        assert report.witnesses == ("H??XQa_",)
 
 
 def test_dot_export_lists_all_vertices_and_edges():

@@ -1,5 +1,8 @@
 import json
+import multiprocessing
+import os
 import random
+import time
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -28,12 +31,66 @@ from outerpath import (
     to_graph6,
     triangulation_chord_sets,
 )
-from outerpath.search import dissections, orbit_representatives
+from outerpath.search import _chunked, _pool_map, dissections, orbit_representatives
 
 from helpers import brute_count_induced_paths
 
 # Results recorded by the benchmark; read here, never written.
 SEARCH_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "search.json"
+
+
+def _tag_with_pid(a):
+    return a, os.getpid()
+
+
+def _raise_at(a):
+    value, bad = a
+    if value == bad:
+        raise ValueError(f"block with {value} failed")
+    if bad == 0 and value > 0:
+        # a child still running when the caller's own block raises
+        time.sleep(30)
+    return value
+
+
+class TestPoolMap:
+    @pytest.mark.parametrize("jobs", [2, 3, 8])
+    @pytest.mark.parametrize("count", [2, 3, 5, 8, 11])
+    def test_results_in_argument_order(self, jobs, count):
+        args = list(range(count))
+        out = _pool_map(_tag_with_pid, args, jobs)
+        assert [a for a, _ in out] == args
+        assert multiprocessing.active_children() == []
+        # the caller runs the first block; each other block has its own process
+        blocks = _chunked(args, jobs)
+        assert 2 <= len(blocks) <= jobs
+        pids = [pid for _, pid in out]
+        assert pids[0] == os.getpid()
+        start = 0
+        for block in blocks:
+            assert set(pids[start : start + len(block)]) == {pids[start]}
+            start += len(block)
+        assert len(set(pids)) == len(blocks)
+
+    def test_serial_runs_in_the_caller(self):
+        assert _pool_map(_tag_with_pid, [1, 2, 3], 1) == [(a, os.getpid()) for a in (1, 2, 3)]
+        assert _pool_map(_tag_with_pid, [7], 4) == [(7, os.getpid())]
+        assert _pool_map(_tag_with_pid, [], 4) == []
+
+    @pytest.mark.parametrize("bad", [5, 9])
+    def test_child_exception_reaches_the_caller(self, bad):
+        # blocks of 3 over 0..9: 5 fails in the second block, 9 in the last
+        with pytest.raises(ValueError, match=f"block with {bad} failed"):
+            _pool_map(_raise_at, [(v, bad) for v in range(10)], 4)
+        assert multiprocessing.active_children() == []
+
+    def test_inline_exception_reaches_the_caller_and_stops_the_children(self):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="block with 0 failed"):
+            _pool_map(_raise_at, [(v, 0) for v in range(4)], 4)
+        # the children would sleep 30 s; they are terminated instead
+        assert time.perf_counter() - t0 < 20
+        assert multiprocessing.active_children() == []
 
 
 class TestTriangulations:
