@@ -1,5 +1,7 @@
 """Induced-path extremal toolkit for outerplanar graphs."""
 
+import importlib
+
 from .graph import (
     MAX_VERTICES,
     CANONICAL_CAP,
@@ -50,15 +52,27 @@ from .constructions import (
     lower_bound_value,
 )
 from .dual import DualTree, Tree, balanced_edge_cut, side_face_counts, weak_dual
-from .search import (
-    SearchReport,
-    catalan,
-    endpoint_pair_maxima,
-    enumerate_outerplanar,
-    enumerate_triangulations,
-    extremal_value,
-    random_outerplanar,
-    triangulation_chord_sets,
-)
 
 __version__ = "1.0.0"
+
+# outerpath.search pulls in numpy and multiprocessing, which only it (and
+# outerpath.verify, through it) needs, so its names resolve on first use (PEP 562).
+_SEARCH_NAMES = frozenset(
+    {
+        "SearchReport",
+        "catalan",
+        "endpoint_pair_maxima",
+        "enumerate_outerplanar",
+        "enumerate_triangulations",
+        "extremal_value",
+        "random_outerplanar",
+        "triangulation_chord_sets",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name == "search" or name in _SEARCH_NAMES:
+        search = importlib.import_module(".search", __name__)
+        return search if name == "search" else getattr(search, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -6,7 +6,9 @@ string or named construction), ``search`` (exhaustive extremal search),
 and ``verify-paper`` (the full check suite).  Output is JSON with a
 stable field order; identical invocations produce byte-identical bytes
 unless ``--timing`` is given.  Exit codes: 0 success / all checks pass,
-1 check failures, 2 usage or input errors.
+1 check failures, 2 usage or input errors.  ``search`` and ``verify``,
+which load numpy and multiprocessing, are imported only by the two
+commands that use them.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from .graph import SCHEMA, Graph, to_dot
 from .graph6 import from_graph6, to_graph6
 from .outerplanar import OuterEmbedding, maximal_completion, outer_cycle
 from .paths import count_induced_paths
-from .search import extremal_value
-from .verify import run_verify
 
 
 def _emit(payload: dict | list | str, path: str | None) -> None:
@@ -57,6 +57,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    from .search import extremal_value
+
     reports = [extremal_value(n, args.k, jobs=args.jobs) for n in args.n]
     if args.csv:
         lines = ["n,k,max_copies"] + [f"{r.n},{r.k},{r.max_copies}" for r in reports]
@@ -118,6 +120,8 @@ def _cmd_dual(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_verify
+
     report = run_verify(only=args.only, jobs=args.jobs)
     if not report.checks:
         print(f"no check matches --only {args.only!r}", file=sys.stderr)

@@ -14,7 +14,6 @@ below the graph core's own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .graph import Graph, VertexSet, bits, blocks, induced_subgraph, is_two_connected
 
@@ -56,19 +55,26 @@ def verify_embedding(g: Graph, emb: OuterEmbedding) -> bool:
 
     Interleaving means exactly one endpoint of one edge lies strictly
     between the endpoints of the other; edges sharing an endpoint never
-    cross.
+    cross.  One pass over the position spans, sorted by left end and then
+    longest first, keeps the right ends of the spans still open on a
+    stack; crossing-free spans nest, so the stack's ends never increase
+    and a span crosses an open one iff it reaches past the innermost.
     """
     _check_permutation(g, emb)
     pos = emb.positions()
-    spans = []
+    spans = []  # (left, -right), so a sort puts longer spans first on a tie
     for u, v in g.edges():
         a, b = pos[u], pos[v]
-        spans.append((a, b) if a < b else (b, a))
-    for (a1, b1), (a2, b2) in combinations(spans, 2):
-        if a1 == a2 or a1 == b2 or b1 == a2 or b1 == b2:
-            continue
-        if (a1 < a2 < b1) != (a1 < b2 < b1):
+        spans.append((a, -b) if a < b else (b, -a))
+    spans.sort()
+    ends: list[int] = []
+    for a, neg_b in spans:
+        b = -neg_b
+        while ends and ends[-1] <= a:
+            ends.pop()
+        if ends and b > ends[-1]:
             return False
+        ends.append(b)
     return True
 
 

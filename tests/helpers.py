@@ -162,7 +162,7 @@ def brute_is_two_connected(g: Graph) -> bool:
 
 
 def orders_cross(g: Graph, order: tuple[int, ...]) -> bool:
-    """Naive pairwise crossing test for a circular layout."""
+    """Naive all-pairs interleaving test for a circular layout (the verify_embedding oracle)."""
     pos = {v: i for i, v in enumerate(order)}
     edges = list(g.edges())
     for (u1, v1), (u2, v2) in combinations(edges, 2):

@@ -1,0 +1,69 @@
+"""Import contract: only ``search`` and ``verify-paper`` load numpy.
+
+Each check runs in a fresh interpreter, since this test process has long
+since imported the search stack.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import outerpath
+
+# Modules that only outerpath.search (and outerpath.verify, through it) need.
+HEAVY = ("numpy", "multiprocessing", "outerpath.search", "outerpath.verify")
+
+REPORT_LOADED = f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))"
+
+
+def run_fresh(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports the package this test imported."""
+    src = str(Path(outerpath.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("module", ["outerpath", "outerpath.cli"])
+def test_import_leaves_search_stack_unloaded(module):
+    out = run_fresh(f"import json, sys, {module}\n{REPORT_LOADED}")
+    assert json.loads(out) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--kind", "star", "--n", "9", "--k", "3"],
+        ["construct", "--kind", "cycle", "--n", "6"],
+        ["dual", "--kind", "cycle", "--n", "6", "--complete"],
+    ],
+)
+def test_light_commands_leave_search_stack_unloaded(argv):
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from outerpath.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+        f"{REPORT_LOADED}"
+    )
+    assert json.loads(run_fresh(code)) == []
+
+
+def test_search_names_resolve_on_first_use():
+    code = (
+        "import sys, outerpath\n"
+        "assert 'outerpath.search' not in sys.modules\n"
+        "assert outerpath.extremal_value is outerpath.search.extremal_value\n"
+        "from outerpath import catalan\n"
+        "assert catalan(5) == 42\n"
+        "try:\n"
+        "    outerpath.no_such_name\n"
+        "except AttributeError:\n"
+        "    print('AttributeError')\n"
+    )
+    assert run_fresh(code) == "AttributeError\n"

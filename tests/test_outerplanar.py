@@ -14,7 +14,7 @@ from outerpath import (
     verify_embedding,
 )
 
-from helpers import outerplanar_by_order_search, random_graph, relabel
+from helpers import orders_cross, outerplanar_by_order_search, random_graph, relabel
 
 K4 = Graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
 K23 = Graph(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
@@ -149,6 +149,29 @@ class TestVerifyEmbedding:
     def test_non_permutation_rejected(self):
         with pytest.raises(ValueError):
             verify_embedding(cycle(4), OuterEmbedding((0, 1, 2, 2)))
+
+    def test_nested_chords_sharing_endpoints(self):
+        # (0,2), (2,4) and (0,4) pairwise share an endpoint, and all nest in (0,5)
+        g = cycle(6).with_edges([(0, 2), (2, 4), (0, 4)])
+        assert verify_embedding(g, OuterEmbedding.identity(6))
+
+    def test_crossing_pair_depends_on_order(self):
+        g = Graph(4, [(0, 2), (1, 3)])
+        assert not verify_embedding(g, OuterEmbedding.identity(4))
+        assert verify_embedding(g, OuterEmbedding((0, 2, 1, 3)))
+
+    def test_agrees_with_all_pairs_oracle(self):
+        rng = random.Random(20261018)
+        verdicts = set()
+        for n in range(1, 13):
+            for _ in range(120):
+                g = random_graph(n, rng.uniform(0.05, 0.7), rng)
+                order = list(range(n))
+                rng.shuffle(order)
+                expected = not orders_cross(g, tuple(order))
+                assert verify_embedding(g, OuterEmbedding(tuple(order))) == expected, (list(g.edges()), order)
+                verdicts.add(expected)
+        assert verdicts == {True, False}
 
     def test_order_string_round_trip(self):
         emb = OuterEmbedding.from_string("2,0,1")
