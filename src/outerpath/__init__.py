@@ -11,9 +11,7 @@ from .graph import (
     bits,
     blocks,
     canonical_form,
-    cut_vertices,
     induced_subgraph,
-    is_connected,
     is_two_connected,
     to_dot,
     vertex_set,
@@ -51,7 +49,7 @@ from .constructions import (
     h_count,
     lower_bound_value,
 )
-from .dual import DualTree, Tree, balanced_edge_cut, side_face_counts, weak_dual
+from .dual import DualTree, Tree, balanced_edge_cut, weak_dual
 
 __version__ = "1.0.0"
 
@@ -62,7 +60,6 @@ _SEARCH_NAMES = frozenset(
         "SearchReport",
         "catalan",
         "endpoint_pair_maxima",
-        "enumerate_outerplanar",
         "enumerate_triangulations",
         "extremal_value",
         "random_outerplanar",

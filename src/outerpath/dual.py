@@ -57,16 +57,6 @@ class Tree:
         object.__setattr__(t, "edges", edges)
         return t
 
-    def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
-    def max_degree(self) -> int:
-        return max(self.degrees(), default=0)
-
 
 @dataclass(frozen=True)
 class DualTree:
@@ -191,25 +181,3 @@ def balanced_edge_cut(t: Tree, k: int) -> tuple[int, int]:
             "invariant violated"
         )
     return best
-
-
-def side_face_counts(dual: DualTree, cut: tuple[int, int]) -> tuple[int, int]:
-    """Face counts of the two components of the dual tree minus ``cut``."""
-    i, j = cut
-    edge = (min(i, j), max(i, j))
-    if edge not in dual.edges:
-        raise ValueError(f"({i},{j}) is not an edge of the dual tree")
-    neigh: dict[int, list[int]] = {idx: [] for idx in range(len(dual.nodes))}
-    for a, b in dual.edges:
-        if (a, b) == edge:
-            continue
-        neigh[a].append(b)
-        neigh[b].append(a)
-    seen = {i}
-    queue = [i]
-    for u in queue:
-        for w in neigh[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen), len(dual.nodes) - len(seen)

@@ -157,10 +157,6 @@ def _components(g: Graph, within: VertexSet) -> Iterator[VertexSet]:
         yield comp
 
 
-def is_connected(g: Graph) -> bool:
-    return sum(1 for _ in _components(g, g.full_mask)) <= 1
-
-
 def blocks(g: Graph) -> list[VertexSet]:
     """Vertex masks of the biconnected components; a bridge is a 2-vertex block.
 
@@ -193,15 +189,6 @@ def blocks(g: Graph) -> list[VertexSet]:
         if v not in disc:
             visit(v)
     return out
-
-
-def cut_vertices(g: Graph) -> VertexSet:
-    """Bitmask of the vertices lying in two or more blocks."""
-    seen = cut = 0
-    for block in blocks(g):
-        cut |= seen & block
-        seen |= block
-    return cut
 
 
 def is_two_connected(g: Graph) -> bool:

@@ -24,12 +24,12 @@ the dihedral maps of the vertex pairs; ``extremal_value`` and
 graphs are canonicalised once per rotation/reflection class of the outer
 cycle.
 
-Work is split across processes by contiguous blocks of orbit
-representatives, each carrying 2^n subsets; the reduction (max, then
-union of maximising graphs) is associative, so reports are
-byte-identical for any worker count.  The caller scans the first block
-and one child process per other block scans the rest; every child is
-reaped before the sweep returns (see :func:`_pool_map`).
+With ``jobs`` workers, :func:`_sweep` splits the orbit representatives
+once into at most ``jobs`` contiguous blocks, each carrying 2^n subsets;
+the reduction (max, then union of maximising graphs) is associative, so
+reports are byte-identical for any worker count.  :func:`_pool_map` scans
+the first block in the caller and each other block in one child
+process, and reaps every child before the sweep returns.
 """
 
 from __future__ import annotations
@@ -119,18 +119,6 @@ def enumerate_triangulations(n: int) -> Iterator[Graph]:
         yield Graph(n, cycle + list(chords))
 
 
-def enumerate_outerplanar(n: int) -> Iterator[Graph]:
-    """Every edge subset of a triangulation of the n-gon 0..n-1, each graph once.
-
-    Each graph is a dissection of the n-gon (see :func:`dissections`)
-    plus a subset of the n cycle edges: little-Schroeder(n) * 2^n graphs.
-    """
-    cycle = _cycle_edges(n)
-    for chords in dissections(n):
-        for subset in range(1 << n):
-            yield Graph(n, [e for i, e in enumerate(cycle) if subset >> i & 1] + list(chords))
-
-
 def random_outerplanar(n: int, rng: random.Random) -> Graph:
     """Random edge subset of the triangulation drawn with one random apex per base."""
     triangulation = _polygon_chords(n, lambda lo, hi: (rng.randint(lo + 1, hi - 1),))
@@ -199,7 +187,7 @@ class SearchReport:
     ``graphs_scanned`` is Catalan(n-2) * 2^(2n-3), the number of
     (triangulation, edge subset) pairs the search covers.  Each distinct
     labeled graph among them is covered by a rotation or reflection of
-    the outer cycle onto a scanned graph (see :func:`orbit_representatives`).
+    the outer cycle onto a scanned graph (see :func:`dihedral_orbits`).
     """
 
     n: int
@@ -246,14 +234,6 @@ def dihedral_orbits(n: int) -> Iterator[tuple[Edges, int]]:
             yield chords, len(images)
 
 
-def orbit_representatives(n: int) -> list[Edges]:
-    """One dissection of the n-gon per rotation/reflection orbit, its least
-    chord set, in :func:`dissections` order.  They number 1, 2, 3, 9, 20,
-    75, 262, 1117 for n = 3..10.
-    """
-    return [chords for chords, _ in dihedral_orbits(n)]
-
-
 def _sweep_block(args) -> tuple[list[int], list[list[Edges]], np.ndarray]:
     """Scan every cycle-edge subset over each dissection of a block, for every path length.
 
@@ -280,8 +260,8 @@ def _sweep_block(args) -> tuple[list[int], list[list[Edges]], np.ndarray]:
         len_starts = np.flatnonzero(np.r_[True, group_len[1:] != group_len[:-1]])
 
         ok = (subsets & table[:, 4, None]) == table[:, 3, None]
-        # int16 holds any count: for n <= SEARCH_CAP = 9 a dissection
-        # keeps at most 214 candidates, far below 2^15
+        # int16 holds any count: for n <= SEARCH_CAP = 9 a representative
+        # keeps at most 214 candidates, far below 2^15 (a test re-checks this)
         counts = np.add.reduceat(ok, starts, axis=0, dtype=np.int16)
         pair_maxima[group_pair, group_len] = np.maximum(
             pair_maxima[group_pair, group_len], counts.max(axis=1)
@@ -356,8 +336,8 @@ def _sweep(n: int, jobs: int) -> _Sweep:
     key = (n, jobs)
     if key in _sweep_cache:
         return _sweep_cache[key]
-    blocks = _chunked(orbit_representatives(n), jobs)
-    parts = _pool_map(_sweep_block, [(n, block) for block in blocks], jobs)
+    blocks = _chunked([chords for chords, _ in dihedral_orbits(n)], jobs)
+    parts = _pool_map(_sweep_block, [(n, block) for block in blocks])
     best = [max(p[0][m] for p in parts) for m in range(n + 1)]
     classes = []
     for m in range(n + 1):
@@ -376,48 +356,46 @@ def _sweep(n: int, jobs: int) -> _Sweep:
 
 
 def _chunked(items: list, jobs: int) -> list[list]:
+    """``items`` in at most ``jobs`` contiguous blocks of near-equal size."""
     jobs = max(1, min(jobs, len(items)))
     size = (len(items) + jobs - 1) // jobs
     return [items[i : i + size] for i in range(0, len(items), size)]
 
 
-def _run_block(fn, block: list, conn) -> None:
-    """A child's work: fn over its block, or the exception that stopped it, sent back over conn."""
+def _run_child(fn, arg, conn) -> None:
+    """A child's work: fn(arg), or the exception that stopped it, sent back over conn."""
     try:
-        reply = (True, [fn(a) for a in block])
+        reply = (True, fn(arg))
     except Exception as exc:
         reply = (False, exc)
     conn.send(reply)
     conn.close()
 
 
-def _pool_map(fn, args_list: list, jobs: int) -> list:
-    """``[fn(a) for a in args_list]``, over at most ``jobs`` processes.
+def _pool_map(fn, args_list: list) -> list:
+    """``[fn(a) for a in args_list]``, one process per argument.
 
-    The arguments are split by :func:`_chunked`.  The caller runs the
-    first block itself; each other block runs in one child process of the
-    default start method, which sends its results, or the exception that
-    stopped it, back over a pipe.  An exception from any block is raised
-    here.  Every child is terminated and joined before this returns, so
-    its CPU time and memory count among the caller's reaped children.
+    The caller runs the first argument itself; each other argument runs
+    in one child process of the default start method, which sends its
+    result, or the exception that stopped it, back over a pipe.  An
+    exception from any argument is raised here.  Every child is
+    terminated and joined before this returns, so its CPU time and memory
+    count among the caller's reaped children.
     """
-    if jobs <= 1 or len(args_list) <= 1:
-        return [fn(a) for a in args_list]
-    blocks = _chunked(args_list, jobs)
     children = []
     try:
-        for block in blocks[1:]:
+        for arg in args_list[1:]:
             receive, send = multiprocessing.Pipe(duplex=False)
-            child = multiprocessing.Process(target=_run_block, args=(fn, block, send))
+            child = multiprocessing.Process(target=_run_child, args=(fn, arg, send))
             child.start()
             send.close()
             children.append((child, receive))
-        results = [fn(a) for a in blocks[0]]
+        results = [fn(a) for a in args_list[:1]]
         for _, receive in children:
             ok, value = receive.recv()
             if not ok:
                 raise value
-            results.extend(value)
+            results.append(value)
         return results
     finally:
         for child, receive in children:

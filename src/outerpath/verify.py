@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Iterator
+from typing import Callable
 
 from .chords import chord_instances, partition_is_complete, side_inequalities
 from .constructions import (
@@ -45,7 +45,6 @@ from .search import (
     _cycle_edges,
     catalan,
     dihedral_orbits,
-    dissections,
     endpoint_pair_maxima,
     enumerate_triangulations,
     extremal_value,
@@ -95,14 +94,6 @@ class VerifyReport:
                 "failed": failed,
             },
         }
-
-
-def two_connected_corpus(n: int) -> Iterator[tuple[Graph, OuterEmbedding]]:
-    """Distinct labeled 2-connected outerplanar graphs: full cycle + chords."""
-    cycle = _cycle_edges(n)
-    emb = OuterEmbedding.identity(n)
-    for chords in dissections(n):
-        yield Graph(n, cycle + list(chords)), emb
 
 
 def random_bounded_degree_tree(n: int, k: int, rng: random.Random) -> Tree:
@@ -312,7 +303,10 @@ def chord_suite_counts(n_max: int = 8) -> dict:
     Returns counts for: the six-product bound on phi, the quadratic bound,
     partition completeness, the first-order side lines (s1/p1/t1/q1 plus
     both size sums) and the second-order side lines (s2/p2/t2/q2),
-    together with the instance total, all over :func:`two_connected_corpus`.
+    together with the instance total, over every chord of the n-cycle plus
+    each dissection of the n-gon (:func:`~outerpath.search.dissections`),
+    3 <= n <= ``n_max``: each 2-connected outerplanar graph with outer
+    cycle 0..n-1 once.
 
     The corpus is walked one dissection per rotation/reflection orbit, and
     each chord instance counts once per dissection in its orbit.  That is

@@ -1,7 +1,11 @@
 """Independent oracles used across the test suite.
 
 Everything here is deliberately naive (permutation scans, O(n^k)
-enumeration) and shares no code with the library paths it checks.
+enumeration) and shares no code with the library paths it checks, except
+:func:`enumerate_outerplanar` and :func:`two_connected_corpus`: these two
+list graphs over ``outerpath.search.dissections``, which
+``tests/test_search.py`` checks against a brute-force filter of the
+diagonal subsets.
 """
 
 from __future__ import annotations
@@ -9,7 +13,33 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations
 
-from outerpath import Graph
+from outerpath import Graph, OuterEmbedding
+from outerpath.search import dissections
+
+
+def _cycle(n: int) -> list[tuple[int, int]]:
+    """The cycle 0..n-1, edge i joining i and i + 1 (mod n)."""
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+def enumerate_outerplanar(n: int):
+    """Every edge subset of a triangulation of the n-gon 0..n-1, each graph once.
+
+    Each graph is a dissection of the n-gon plus a subset of the n cycle
+    edges: little-Schroeder(n) * 2^n graphs.
+    """
+    cycle = _cycle(n)
+    for chords in dissections(n):
+        for subset in range(1 << n):
+            yield Graph(n, [e for i, e in enumerate(cycle) if subset >> i & 1] + list(chords))
+
+
+def two_connected_corpus(n: int):
+    """Each 2-connected outerplanar graph with outer cycle 0..n-1 once, with
+    that cycle as its embedding: the full cycle plus a dissection."""
+    emb = OuterEmbedding.identity(n)
+    for chords in dissections(n):
+        yield Graph(n, _cycle(n) + list(chords)), emb
 
 
 def brute_count_induced_paths(g: Graph, k: int) -> int:

@@ -27,7 +27,6 @@ from outerpath import (
     count_induced_paths_between,
     double_star_p4_count,
     endpoint_pair_maxima,
-    enumerate_outerplanar,
     extremal_value,
     fib,
     h_count,
@@ -40,10 +39,9 @@ from outerpath.verify import (
     check_graph6_roundtrip,
     check_tree_edge_cut,
     chord_suite_counts,
-    two_connected_corpus,
 )
 
-from helpers import brute_side_p3_counts
+from helpers import brute_side_p3_counts, enumerate_outerplanar, two_connected_corpus
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

@@ -12,9 +12,8 @@ from outerpath import (
     side_partition,
 )
 from outerpath.chords import chord_instances
-from outerpath.verify import two_connected_corpus
 
-from helpers import brute_side_classes, side_arc
+from helpers import brute_side_classes, side_arc, two_connected_corpus
 
 
 def cycle(n):

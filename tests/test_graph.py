@@ -8,10 +8,8 @@ from outerpath import (
     UnsupportedSizeError,
     blocks,
     canonical_form,
-    cut_vertices,
     graph,
     induced_subgraph,
-    is_connected,
     is_two_connected,
     search,
     to_dot,
@@ -20,7 +18,6 @@ from outerpath import (
 
 from helpers import (
     brute_canonical_graph6,
-    brute_cut_vertices,
     brute_is_two_connected,
     random_forest,
     random_graph,
@@ -97,21 +94,22 @@ class TestInducedSubgraph:
 class TestConnectivity:
     def test_c6(self):
         g = cycle(6)
-        assert is_connected(g) and is_two_connected(g) and cut_vertices(g) == 0
+        assert is_two_connected(g) and blocks(g) == [g.full_mask]
 
     def test_c5_with_pendant(self):
         g = Graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(0, 5)])
-        assert is_connected(g)
         assert not is_two_connected(g)
-        assert cut_vertices(g) == vertex_set([0])
+        # the pendant edge is a block of its own, meeting the 5-cycle at 0
+        assert sorted(blocks(g)) == [vertex_set(range(5)), vertex_set([0, 5])]
 
     def test_two_disjoint_edges(self):
         g = Graph(4, [(0, 1), (2, 3)])
-        assert not is_connected(g)
+        assert sorted(blocks(g)) == [0b0011, 0b1100]
+        assert not is_two_connected(g)
 
     def test_small_and_disconnected_blocks(self):
         # bridges are blocks, isolated vertices lie in none
-        assert blocks(Graph(1)) == [] and cut_vertices(Graph(1)) == 0
+        assert blocks(Graph(1)) == [] and not is_two_connected(Graph(1))
         assert blocks(Graph(2)) == [] and not is_two_connected(Graph(2))
         assert blocks(Graph(2, [(0, 1)])) == [0b11] and not is_two_connected(Graph(2, [(0, 1)]))
         triangle_plus_isolated = Graph(4, [(0, 1), (1, 2), (0, 2)])
@@ -119,7 +117,7 @@ class TestConnectivity:
         assert not is_two_connected(triangle_plus_isolated)
         bowtie = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
         assert sorted(blocks(bowtie)) == [0b00111, 0b11100]
-        assert cut_vertices(bowtie) == vertex_set([2])
+        assert not is_two_connected(bowtie)
 
     def test_blocks_agree_with_removal_scan_and_networkx(self):
         rng = random.Random(2026)
@@ -130,7 +128,6 @@ class TestConnectivity:
             ng.add_nodes_from(range(n))
             ng.add_edges_from(g.edges())
             assert sorted(blocks(g)) == sorted(vertex_set(c) for c in nx.biconnected_components(ng))
-            assert cut_vertices(g) == brute_cut_vertices(g) == vertex_set(nx.articulation_points(ng))
             assert is_two_connected(g) == brute_is_two_connected(g)
             assert is_two_connected(g) == (n >= 3 and nx.is_biconnected(ng))
 

@@ -1,9 +1,11 @@
-"""Import contract: only ``search`` and ``verify-paper`` load numpy.
+"""Import contract: only ``search`` and ``verify-paper`` load numpy, and
+no module imports a name it never uses.
 
-Each check runs in a fresh interpreter, since this test process has long
-since imported the search stack.
+Each load check runs in a fresh interpreter, since this test process has
+long since imported the search stack.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -67,3 +69,19 @@ def test_search_names_resolve_on_first_use():
         "    print('AttributeError')\n"
     )
     assert run_fresh(code) == "AttributeError\n"
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in Path(outerpath.__file__).parent.glob("*.py") if p.name != "__init__.py")
+)
+def test_every_imported_name_is_used(module):
+    # the package has no linter; __init__.py imports names to re-export them
+    tree = ast.parse((Path(outerpath.__file__).parent / module).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []

@@ -14,7 +14,7 @@ from outerpath import (
     verify_embedding,
 )
 
-from helpers import orders_cross, outerplanar_by_order_search, random_graph, relabel
+from helpers import orders_cross, outerplanar_by_order_search, random_graph, relabel, two_connected_corpus
 
 K4 = Graph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
 K23 = Graph(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
@@ -207,8 +207,6 @@ class TestOuterCycle:
         # fixed start.  outer_cycle finds it as the corpus's identity
         # order, and after a random relabelling as the relabelled cycle
         # with 0 first and its smaller neighbor second
-        from outerpath.verify import two_connected_corpus
-
         def directed_ham_cycles(g):
             # grow paths from 0 along edges only; each one that covers
             # every vertex and closes back to 0 is one directed cycle

@@ -7,6 +7,7 @@ from itertools import combinations
 from math import comb
 from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,6 @@ from outerpath import (
     count_induced_paths,
     count_induced_paths_between,
     endpoint_pair_maxima,
-    enumerate_outerplanar,
     enumerate_triangulations,
     extremal_value,
     fib,
@@ -31,63 +31,69 @@ from outerpath import (
     to_graph6,
     triangulation_chord_sets,
 )
-from outerpath.search import _chunked, _pool_map, dissections, orbit_representatives
+from outerpath.search import SEARCH_CAP, _chunked, _path_candidates, _pool_map, dihedral_orbits, dissections
 
-from helpers import brute_count_induced_paths
+from helpers import brute_count_induced_paths, enumerate_outerplanar
 
 # Results recorded by the benchmark; read here, never written.
 SEARCH_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "search.json"
 
 
-def _tag_with_pid(a):
-    return a, os.getpid()
+def _tag_with_pid(block):
+    return [(a, os.getpid()) for a in block]
 
 
-def _raise_at(a):
-    value, bad = a
-    if value == bad:
-        raise ValueError(f"block with {value} failed")
-    if bad == 0 and value > 0:
+def _raise_at(block):
+    for value, bad in block:
+        if value == bad:
+            raise ValueError(f"block with {value} failed")
+    if any(bad == 0 for _, bad in block):
         # a child still running when the caller's own block raises
         time.sleep(30)
-    return value
+    return [value for value, _ in block]
 
 
 class TestPoolMap:
+    """The sweep's split and fan-out: ``_chunked`` makes at most ``jobs``
+    blocks, and ``_pool_map`` runs one block per process."""
+
     @pytest.mark.parametrize("jobs", [2, 3, 8])
     @pytest.mark.parametrize("count", [2, 3, 5, 8, 11])
     def test_results_in_argument_order(self, jobs, count):
         args = list(range(count))
-        out = _pool_map(_tag_with_pid, args, jobs)
-        assert [a for a, _ in out] == args
-        assert multiprocessing.active_children() == []
-        # the caller runs the first block; each other block has its own process
         blocks = _chunked(args, jobs)
         assert 2 <= len(blocks) <= jobs
-        pids = [pid for _, pid in out]
-        assert pids[0] == os.getpid()
-        start = 0
-        for block in blocks:
-            assert set(pids[start : start + len(block)]) == {pids[start]}
-            start += len(block)
-        assert len(set(pids)) == len(blocks)
+        assert sum(blocks, []) == args
+        out = _pool_map(_tag_with_pid, blocks)
+        assert [[a for a, _ in part] for part in out] == blocks
+        assert multiprocessing.active_children() == []
+        # the caller runs the first block; each other block has its own process
+        pids = [{pid for _, pid in part} for part in out]
+        assert pids[0] == {os.getpid()}
+        assert all(len(p) == 1 for p in pids)
+        assert len(set().union(*pids)) == len(blocks)
 
     def test_serial_runs_in_the_caller(self):
-        assert _pool_map(_tag_with_pid, [1, 2, 3], 1) == [(a, os.getpid()) for a in (1, 2, 3)]
-        assert _pool_map(_tag_with_pid, [7], 4) == [(7, os.getpid())]
-        assert _pool_map(_tag_with_pid, [], 4) == []
+        assert _chunked([1, 2, 3], 1) == [[1, 2, 3]]
+        assert _pool_map(_tag_with_pid, [[1, 2, 3]]) == [[(a, os.getpid()) for a in (1, 2, 3)]]
+        assert _chunked([7], 4) == [[7]]
+        assert _pool_map(_tag_with_pid, [[7]]) == [[(7, os.getpid())]]
+        assert _pool_map(_tag_with_pid, []) == []
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("bad", [5, 9])
     def test_child_exception_reaches_the_caller(self, bad):
         # blocks of 3 over 0..9: 5 fails in the second block, 9 in the last
+        blocks = _chunked([(v, bad) for v in range(10)], 4)
+        assert [len(b) for b in blocks] == [3, 3, 3, 1]
         with pytest.raises(ValueError, match=f"block with {bad} failed"):
-            _pool_map(_raise_at, [(v, bad) for v in range(10)], 4)
+            _pool_map(_raise_at, blocks)
         assert multiprocessing.active_children() == []
 
     def test_inline_exception_reaches_the_caller_and_stops_the_children(self):
         t0 = time.perf_counter()
         with pytest.raises(ValueError, match="block with 0 failed"):
-            _pool_map(_raise_at, [(v, 0) for v in range(4)], 4)
+            _pool_map(_raise_at, [[(v, 0)] for v in range(4)])
         # the children would sleep 30 s; they are terminated instead
         assert time.perf_counter() - t0 < 20
         assert multiprocessing.active_children() == []
@@ -160,21 +166,33 @@ class TestDissections:
 
 class TestOrbitRepresentatives:
     def test_orbits_partition_the_dissections(self):
+        # C8 weights each representative by its reported orbit size
         reps_count = [1, 2, 3, 9, 20, 75, 262, 1117]
         little_schroeder = [1, 3, 11, 45, 197, 903, 4279, 20793]
         for n, n_reps, n_dissections in zip(range(3, 11), reps_count, little_schroeder):
-            reps = orbit_representatives(n)
-            assert len(reps) == n_reps
-            orbits = [
+            orbits = list(dihedral_orbits(n))
+            assert len(orbits) == n_reps
+            images = [
                 {tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in rep)) for p in dihedral_maps(n)}
-                for rep in reps
+                for rep, _ in orbits
             ]
-            for rep, orbit in zip(reps, orbits):
+            for (rep, size), orbit in zip(orbits, images):
                 assert rep == min(orbit)
+                assert size == len(orbit)
+            assert sum(size for _, size in orbits) == n_dissections
             # disjoint orbits that together hold every dissection
-            union = set().union(*orbits)
-            assert sum(len(orbit) for orbit in orbits) == len(union) == n_dissections
+            union = set().union(*images)
+            assert len(union) == n_dissections
             assert union == set(dissections(n))
+
+    def test_candidate_counts_fit_the_sweeps_int16(self):
+        # _sweep_block sums a dissection's induced paths per subset in int16
+        widest = {
+            n: max(len(_path_candidates(n, chords)) for chords, _ in dihedral_orbits(n))
+            for n in range(3, SEARCH_CAP + 1)
+        }
+        assert max(widest.values()) < 2**15
+        assert widest[9] == 214
 
     def test_census_is_dihedrally_symmetric(self):
         for n in range(3, 9):
@@ -183,6 +201,30 @@ class TestOrbitRepresentatives:
                 for x, y in combinations(range(n), 2):
                     a, b = sorted((p[x], p[y]))
                     assert census[a * n + b].tolist() == census[x * n + y].tolist()
+
+
+class TestAtlasCoverage:
+    def test_orbit_subsets_meet_every_outerplanar_class(self):
+        # networkx's atlas holds one graph per isomorphism class on <= 7
+        # vertices, and a graph is outerplanar iff adding an apex joined to
+        # every vertex leaves it planar; neither uses outerpath
+        atlas = {}
+        for h in nx.graph_atlas_g():
+            n = h.number_of_nodes()
+            apexed = h.copy()
+            apexed.add_edges_from(("apex", v) for v in h)
+            if n >= 3 and nx.check_planarity(apexed)[0]:
+                atlas.setdefault(n, []).append(canonical_form(Graph(n, list(h.edges()))))
+        assert {n: len(forms) for n, forms in atlas.items()} == {3: 4, 4: 10, 5: 25, 6: 80, 7: 277}
+        for n, forms in atlas.items():
+            assert len(set(forms)) == len(forms)
+            cycle = [(i, (i + 1) % n) for i in range(n)]
+            swept = {
+                canonical_form(Graph(n, [e for i, e in enumerate(cycle) if s >> i & 1] + list(chords)))
+                for chords, _ in dihedral_orbits(n)
+                for s in range(1 << n)
+            }
+            assert swept == set(forms)
 
 
 class TestEnumerateOuterplanar:
@@ -315,14 +357,14 @@ class TestExtremalValue:
         # the cache must not let a worker-count comparison read one sweep
         # three times
         sweeps = []
-        representatives = search.orbit_representatives
+        orbits = search.dihedral_orbits
 
         def counted(n):
             sweeps.append(n)
-            return representatives(n)
+            return orbits(n)
 
         monkeypatch.setattr(search, "_sweep_cache", {})
-        monkeypatch.setattr(search, "orbit_representatives", counted)
+        monkeypatch.setattr(search, "dihedral_orbits", counted)
         for jobs in (1, 2, 8):
             for k in (3, 4):
                 extremal_value(6, k, jobs=jobs)
