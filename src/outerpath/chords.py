@@ -21,9 +21,12 @@ forced by non-crossing):
   from j_1 to j_p1.  When i_s1 = j_1 that shared vertex v_ell lies in both.
 
 B2 and D2 are B1 and D1 seen from y, that is, on the arc walked from y to
-x, just as p1 and p2 are s1 and s2 seen from y.  Each rule is therefore
-written once, from the first vertex of an arc, and applied to the arc in
-both directions.
+x, just as p1 and p2 are s1 and s2 seen from y.  Likewise t1, t2, q1, q2
+and the primed classes are s1, s2, p1, p2 and the plain classes of U',
+walked from x to y the other way round the cycle.  Each rule is therefore
+written once, from the first vertex of an arc: a :class:`SidePartition`
+records one side, a :class:`ChordStats` is the pair of them, and each
+side line is stated once and read on both sides.
 """
 
 from __future__ import annotations
@@ -59,45 +62,30 @@ class SidePartition:
 
 @dataclass(frozen=True)
 class ChordStats:
-    n1: int
-    n2: int
-    s1: int
-    s2: int
-    t1: int
-    t2: int
-    p1: int
-    p2: int
-    q1: int
-    q2: int
-    a: int
-    b1: int
-    b2: int
-    d1: int
-    d2: int
-    a_prime: int
-    b1_prime: int
-    b2_prime: int
-    d1_prime: int
-    d2_prime: int
-    has_v_ell: bool
-    has_v_ell_prime: bool
+    """Side U and the mirrored side U'; t, q and the primed counts are ``up``'s."""
+
+    u: SidePartition
+    up: SidePartition
 
     @property
     def six_product_bound(self) -> int:
         """The crossing bound on phi: the six endpoint-stub products."""
+        u, up = self.u, self.up
+        # s1*q1 + t1*p1 + s1*t2 + s2*t1 + p1*q2 + p2*q1
         return (
-            self.s1 * self.q1
-            + self.t1 * self.p1
-            + self.s1 * self.t2
-            + self.s2 * self.t1
-            + self.p1 * self.q2
-            + self.p2 * self.q1
+            u.s1 * up.p1
+            + up.s1 * u.p1
+            + u.s1 * up.s2
+            + u.s2 * up.s1
+            + u.p1 * up.p2
+            + u.p2 * up.p1
         )
 
     @property
     def quadratic_bound(self) -> int:
         """The size bound on phi: n1*n2 + n1 + n2."""
-        return self.n1 * self.n2 + self.n1 + self.n2
+        n1, n2 = len(self.u.seq), len(self.up.seq)
+        return n1 * n2 + n1 + n2
 
 
 def _check_graph(g: Graph, emb: OuterEmbedding) -> None:
@@ -105,22 +93,6 @@ def _check_graph(g: Graph, emb: OuterEmbedding) -> None:
         raise ValueError("invalid embedding")
     if not is_two_connected(g):
         raise ValueError("chord statistics require a 2-connected graph")
-
-
-def _check_instance(g: Graph, emb: OuterEmbedding, chord: tuple[int, int]) -> None:
-    x, y = chord
-    if not g.has_edge(x, y):
-        raise ValueError(f"({x},{y}) is not an edge")
-    _check_graph(g, emb)
-
-
-def _side_sequences(emb: OuterEmbedding, chord: tuple[int, int]) -> tuple[list[int], list[int]]:
-    """Both side arcs listed from x to y; the second side is mirrored."""
-    x, y = chord
-    i = emb.order.index(x)
-    ring = list(emb.order[i:] + emb.order[:i])
-    j = ring.index(y)
-    return ring[: j + 1], [x] + ring[j:][::-1]
 
 
 def _endpoint_classes(
@@ -183,67 +155,53 @@ def _partition_side(g: Graph, seq: list[int]) -> SidePartition:
     )
 
 
-def side_partition(g: Graph, emb: OuterEmbedding, chord: tuple[int, int], primed: bool = False) -> SidePartition:
-    """Partition of one side; ``primed`` selects the mirrored second side."""
-    _check_instance(g, emb, chord)
-    forward, backward = _side_sequences(emb, chord)
-    return _partition_side(g, backward if primed else forward)
+def _sides(g: Graph, emb: OuterEmbedding, chord: tuple[int, int]) -> ChordStats:
+    """Both side arcs partitioned, each listed from x to y; U' is mirrored."""
+    x, y = chord
+    i = emb.order.index(x)
+    ring = list(emb.order[i:] + emb.order[:i])
+    j = ring.index(y)
+    return ChordStats(_partition_side(g, ring[: j + 1]), _partition_side(g, [x] + ring[j:][::-1]))
 
 
-def _stats(u: SidePartition, up: SidePartition) -> ChordStats:
-    return ChordStats(
-        n1=len(u.seq),
-        n2=len(up.seq),
-        s1=u.s1,
-        s2=u.s2,
-        t1=up.s1,
-        t2=up.s2,
-        p1=u.p1,
-        p2=u.p2,
-        q1=up.p1,
-        q2=up.p2,
-        a=len(u.a_set),
-        b1=len(u.b1_set),
-        b2=len(u.b2_set),
-        d1=len(u.d1_set),
-        d2=len(u.d2_set),
-        a_prime=len(up.a_set),
-        b1_prime=len(up.b1_set),
-        b2_prime=len(up.b2_set),
-        d1_prime=len(up.d1_set),
-        d2_prime=len(up.d2_set),
-        has_v_ell=u.v_ell is not None,
-        has_v_ell_prime=up.v_ell is not None,
-    )
+def _one_chord(g: Graph, emb: OuterEmbedding, chord: tuple[int, int]) -> ChordStats:
+    """The one-chord views' shared path: validate, then :func:`_sides`."""
+    x, y = chord
+    if not g.has_edge(x, y):
+        raise ValueError(f"({x},{y}) is not an edge")
+    _check_graph(g, emb)
+    return _sides(g, emb, chord)
 
 
 def chord_stats(g: Graph, emb: OuterEmbedding, chord: tuple[int, int]) -> ChordStats:
-    _check_instance(g, emb, chord)
-    forward, backward = _side_sequences(emb, chord)
-    return _stats(_partition_side(g, forward), _partition_side(g, backward))
+    """Both side partitions of one chord."""
+    return _one_chord(g, emb, chord)
+
+
+def side_partition(g: Graph, emb: OuterEmbedding, chord: tuple[int, int], primed: bool = False) -> SidePartition:
+    """Partition of one side; ``primed`` selects the mirrored second side."""
+    st = _one_chord(g, emb, chord)
+    return st.up if primed else st.u
 
 
 def _p4_masks(g: Graph) -> list[int]:
     return [vertex_set(path) for path in iter_induced_paths(g, 4)] if g.n >= 4 else []
 
 
-def _crossing_count(path_masks: list[int], forward: list[int], backward: list[int]) -> int:
+def _crossing_count(path_masks: list[int], st: ChordStats) -> int:
     """Paths meeting the strict interior of both side arcs."""
-    u_strict = vertex_set(forward[1:-1])
-    up_strict = vertex_set(backward[1:-1])
+    u_strict = vertex_set(st.u.seq[1:-1])
+    up_strict = vertex_set(st.up.seq[1:-1])
     return sum(1 for pmask in path_masks if pmask & u_strict and pmask & up_strict)
 
 
 def phi(g: Graph, emb: OuterEmbedding, chord: tuple[int, int]) -> int:
     """Induced 4-vertex paths meeting the strict interior of both sides."""
-    _check_instance(g, emb, chord)
-    return _crossing_count(_p4_masks(g), *_side_sequences(emb, chord))
+    return _crossing_count(_p4_masks(g), _one_chord(g, emb, chord))
 
 
-def chord_instances(
-    g: Graph, emb: OuterEmbedding
-) -> Iterator[tuple[ChordStats, int, tuple[SidePartition, SidePartition]]]:
-    """Stats, phi and both side partitions for every edge of ``g`` as the chord.
+def chord_instances(g: Graph, emb: OuterEmbedding) -> Iterator[tuple[ChordStats, int]]:
+    """Stats and phi for every edge of ``g`` as the chord.
 
     Validates ``g`` and ``emb`` once and enumerates the induced 4-vertex
     paths once, where :func:`chord_stats`, :func:`phi` and
@@ -252,9 +210,8 @@ def chord_instances(
     _check_graph(g, emb)
     path_masks = _p4_masks(g)
     for chord in g.edges():
-        forward, backward = _side_sequences(emb, chord)
-        sides = (_partition_side(g, forward), _partition_side(g, backward))
-        yield _stats(*sides), _crossing_count(path_masks, forward, backward), sides
+        st = _sides(g, emb, chord)
+        yield st, _crossing_count(path_masks, st)
 
 
 def partition_is_complete(part: SidePartition) -> bool:
@@ -270,20 +227,26 @@ def partition_is_complete(part: SidePartition) -> bool:
     return True
 
 
+# The five side lines under their names on U and on U'; the first three
+# are first-order, the last two second-order.
+_U_LINES = ("size_sum", "s1", "p1", "s2", "p2")
+_UP_LINES = ("size_sum_prime", "t1", "q1", "t2", "q2")
+_FIRST_ORDER = _U_LINES[:3] + _UP_LINES[:3]
+_SECOND_ORDER = _U_LINES[3:] + _UP_LINES[3:]
+
+
+def _side_lines(side: SidePartition) -> tuple[bool, ...]:
+    """The size sum and the s1, p1, s2 and p2 lines of one side."""
+    a, b1, b2, d1, d2 = map(len, (side.a_set, side.b1_set, side.b2_set, side.d1_set, side.d2_set))
+    return (
+        a + b1 + b2 + d1 + d2 <= len(side.seq) - 1,
+        2 * side.s1 <= d1 + 1 + 2 * b1,
+        2 * side.p1 <= d2 + 1 + 2 * b2,
+        side.s2 <= d1 - 1 + a + 1,
+        side.p2 <= d2 - 1 + a + 1,
+    )
+
+
 def side_inequalities(stats: ChordStats) -> dict[str, bool]:
-    """The ten per-side accounting bounds plus the two size-sum bounds."""
-    return {
-        "size_sum": stats.a + stats.b1 + stats.b2 + stats.d1 + stats.d2 <= stats.n1 - 1,
-        "s1": 2 * stats.s1 <= stats.d1 + 1 + 2 * stats.b1,
-        "p1": 2 * stats.p1 <= stats.d2 + 1 + 2 * stats.b2,
-        "s2": stats.s2 <= stats.d1 - 1 + stats.a + 1,
-        "p2": stats.p2 <= stats.d2 - 1 + stats.a + 1,
-        "size_sum_prime": (
-            stats.a_prime + stats.b1_prime + stats.b2_prime + stats.d1_prime + stats.d2_prime
-            <= stats.n2 - 1
-        ),
-        "t1": 2 * stats.t1 <= stats.d1_prime + 1 + 2 * stats.b1_prime,
-        "q1": 2 * stats.q1 <= stats.d2_prime + 1 + 2 * stats.b2_prime,
-        "t2": stats.t2 <= stats.d1_prime - 1 + stats.a_prime + 1,
-        "q2": stats.q2 <= stats.d2_prime - 1 + stats.a_prime + 1,
-    }
+    """The ten per-side accounting bounds, both size sums among them."""
+    return {**dict(zip(_U_LINES, _side_lines(stats.u))), **dict(zip(_UP_LINES, _side_lines(stats.up)))}

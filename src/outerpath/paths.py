@@ -22,9 +22,15 @@ class PathCount:
     copies: int
 
 
-def _count_walks(g: Graph, k: int, ends: list[int]) -> int:
-    """Induced ``k``-vertex paths (k >= 2) from each start s to a last vertex in ``ends[s]``."""
+def count_induced_paths(g: Graph, k: int) -> PathCount:
+    """Number of unordered induced paths on ``k`` vertices."""
+    n = g.n
+    if not 1 <= k <= n:
+        raise ValueError(f"path length k must be in 1..{n}, got {k}")
+    if k == 1:
+        return PathCount(1, n)
     adj = g.adj
+    full = g.full_mask
     total = 0
 
     def extend(last: int, pmask: int, forb: int, depth: int, end: int) -> None:
@@ -37,21 +43,10 @@ def _count_walks(g: Graph, k: int, ends: list[int]) -> int:
         for w in bits(cand):
             extend(w, pmask | (1 << w), nforb, depth + 1, end)
 
-    for s, end in enumerate(ends):
-        if end:
-            extend(s, 1 << s, 0, 1, end)
-    return total
-
-
-def count_induced_paths(g: Graph, k: int) -> PathCount:
-    """Number of unordered induced paths on ``k`` vertices."""
-    n = g.n
-    if not 1 <= k <= n:
-        raise ValueError(f"path length k must be in 1..{n}, got {k}")
-    if k == 1:
-        return PathCount(1, n)
-    full = g.full_mask
-    return PathCount(k, _count_walks(g, k, [full >> (s + 1) << (s + 1) for s in range(n)]))
+    # a path from s ends at a vertex above s
+    for s in range(n - 1):
+        extend(s, 1 << s, 0, 1, full >> (s + 1) << (s + 1))
+    return PathCount(k, total)
 
 
 def count_induced_p3_closed_form(g: Graph) -> int:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable
 
-from .chords import chord_instances, partition_is_complete, side_inequalities
+from .chords import _FIRST_ORDER, _SECOND_ORDER, chord_instances, partition_is_complete, side_inequalities
 from .constructions import (
     ConstructionSpec,
     build,
@@ -282,10 +282,14 @@ def check_tree_edge_cut():
 def _cut_is_balanced(t: Tree, k: int, cut: tuple[int, int]) -> bool:
     """Whether ``cut`` is a tree edge leaving >= (n-1)/k nodes on each side.
 
-    Counts the sides itself instead of trusting the cut search.  Any
-    :class:`Tree` will do: its edges are (parent, child) pairs in connected
-    order, so one pass over them in reverse finishes every subtree before
-    adding it to its parent's.  ``cut`` must be given as (parent, child).
+    Counts the sides itself instead of trusting the cut search: the edges
+    of a :class:`Tree` are (parent, child) pairs in connected order, so one
+    pass over them in reverse finishes every subtree before adding it to
+    its parent's.  ``cut`` must be given as (parent, child), while
+    :func:`~outerpath.dual.balanced_edge_cut` returns (low, high).  The two
+    agree only when every parent is below its child, as in the trees of
+    :func:`random_bounded_degree_tree`; on other trees a valid cut may be
+    rejected.
     """
     n = t.n
     parent = [-1] * n
@@ -315,8 +319,6 @@ def chord_suite_counts(n_max: int = 8) -> dict:
     endpoints, or both, which maps each count's set of lines onto itself.
     Single lines, such as s2 alone, are not preserved and are not reported.
     """
-    first_order = ("size_sum", "s1", "p1", "size_sum_prime", "t1", "q1")
-    second_order = ("s2", "p2", "t2", "q2")
     counts = {
         "instances": 0,
         "phi_six_product": 0,
@@ -330,14 +332,14 @@ def chord_suite_counts(n_max: int = 8) -> dict:
         emb = OuterEmbedding.identity(n)
         for chords, weight in dihedral_orbits(n):
             g = Graph(n, cycle + list(chords))
-            for st, crossing, sides in chord_instances(g, emb):
+            for st, crossing in chord_instances(g, emb):
                 rep = side_inequalities(st)
                 counts["instances"] += weight
                 counts["phi_six_product"] += weight * (crossing > st.six_product_bound)
                 counts["phi_quadratic"] += weight * (crossing > st.quadratic_bound)
-                counts["first_order_lines"] += weight * sum(not rep[x] for x in first_order)
-                counts["second_order_lines"] += weight * sum(not rep[x] for x in second_order)
-                counts["partition"] += weight * sum(not partition_is_complete(side) for side in sides)
+                counts["first_order_lines"] += weight * sum(not rep[x] for x in _FIRST_ORDER)
+                counts["second_order_lines"] += weight * sum(not rep[x] for x in _SECOND_ORDER)
+                counts["partition"] += weight * sum(not partition_is_complete(side) for side in (st.u, st.up))
     return counts
 
 

@@ -176,22 +176,23 @@ def test_criterion_08_chord_inequality_suite():
     first_n = None
     for n in range(3, 9):
         for g, emb in two_connected_corpus(n):
-            for e, (st, crossing, sides) in zip(g.edges(), chord_instances(g, emb)):
-                second = {"s2": st.s2, "p2": st.p2, "t2": st.t2, "q2": st.q2}
+            for e, (st, crossing) in zip(g.edges(), chord_instances(g, emb)):
+                u, up = st.u, st.up
+                second = {"s2": u.s2, "p2": u.p2, "t2": up.s2, "q2": up.p2}
                 if brute_side_p3_counts(g, emb.order, e) != second:
                     oracle_misses += 1
                 written = side_inequalities(st)
                 labeled["instances"] += 1
                 labeled["phi_six_product"] += crossing > st.six_product_bound
                 labeled["phi_quadratic"] += crossing > st.quadratic_bound
-                labeled["partition"] += sum(not partition_is_complete(side) for side in sides)
+                labeled["partition"] += sum(not partition_is_complete(side) for side in (u, up))
                 labeled["first_order_lines"] += sum(not written[x] for x in first_order)
                 labeled["second_order_lines"] += sum(not written[x] for x in second)
                 for name, cap, shared in (
-                    ("s2", st.d1 + st.a, st.has_v_ell),
-                    ("p2", st.d2 + st.a, st.has_v_ell),
-                    ("t2", st.d1_prime + st.a_prime, st.has_v_ell_prime),
-                    ("q2", st.d2_prime + st.a_prime, st.has_v_ell_prime),
+                    ("s2", len(u.d1_set) + len(u.a_set), u.v_ell is not None),
+                    ("p2", len(u.d2_set) + len(u.a_set), u.v_ell is not None),
+                    ("t2", len(up.d1_set) + len(up.a_set), up.v_ell is not None),
+                    ("q2", len(up.d2_set) + len(up.a_set), up.v_ell is not None),
                 ):
                     assert written[name] == (second[name] <= cap)
                     if second[name] > cap:

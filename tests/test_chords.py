@@ -44,21 +44,21 @@ class TestChordStats:
     def test_c6_long_chord_neighbor_counts(self):
         g = cycle(6).with_edges([(0, 3)])
         st = chord_stats(g, OuterEmbedding.identity(6), (0, 3))
-        assert (st.n1, st.n2) == (4, 4)
-        assert (st.s1, st.p1, st.t1, st.q1) == (1, 1, 1, 1)
+        assert (len(st.u.seq), len(st.up.seq)) == (4, 4)
+        assert (st.u.s1, st.u.p1, st.up.s1, st.up.p1) == (1, 1, 1, 1)
 
     def test_side_sizes_sum(self):
         for n in (5, 6, 7):
             for g, emb in two_connected_corpus(n):
                 for e in g.edges():
                     st = chord_stats(g, emb, e)
-                    assert st.n1 + st.n2 == n + 2
+                    assert len(st.u.seq) + len(st.up.seq) == n + 2
 
     def test_degenerate_cycle_edge_side(self):
         g = cycle(6)
         st = chord_stats(g, OuterEmbedding.identity(6), (0, 1))
-        assert st.n1 == 2
-        assert (st.s1, st.s2, st.p1, st.p2) == (0, 0, 0, 0)
+        assert len(st.u.seq) == 2
+        assert (st.u.s1, st.u.s2, st.u.p1, st.u.p2) == (0, 0, 0, 0)
 
     def test_non_edge_rejected(self):
         with pytest.raises(ValueError):
@@ -74,8 +74,8 @@ class TestChordStats:
             for g, emb in two_connected_corpus(n):
                 for e in g.edges():
                     st = chord_stats(g, emb, e)
-                    for d in (st.d1, st.d2, st.d1_prime, st.d2_prime):
-                        assert d == 0 or d % 2 == 1
+                    for d in (st.u.d1_set, st.u.d2_set, st.up.d1_set, st.up.d2_set):
+                        assert len(d) == 0 or len(d) % 2 == 1
 
 
 class TestFacts:
@@ -166,12 +166,15 @@ class TestPhi:
             assert phi(g, emb, e) == 0
 
     def test_agrees_with_brute_on_corpus_n6(self):
-        # both the per-chord phi and the batch count that C8 reads
+        # the batch that C8 reads against the brute count, and each
+        # one-chord view against the batch
         for g, emb in two_connected_corpus(6):
-            batch = [crossing for _, crossing, _ in chord_instances(g, emb)]
-            brute = [brute_phi(g, emb, e, 4) for e in g.edges()]
-            assert [phi(g, emb, e) for e in g.edges()] == brute
-            assert batch == brute
+            for e, (st, crossing) in zip(g.edges(), chord_instances(g, emb)):
+                assert crossing == brute_phi(g, emb, e, 4)
+                assert phi(g, emb, e) == crossing
+                assert chord_stats(g, emb, e) == st
+                assert side_partition(g, emb, e) == st.u
+                assert side_partition(g, emb, e, True) == st.up
 
     def test_triangle_has_no_p4_at_all(self):
         g = cycle(3)
@@ -179,16 +182,23 @@ class TestPhi:
 
 
 class TestInequalities:
+    def test_line_names_in_order(self):
+        # U's five lines, then U''s under the t/q and _prime names
+        st = chord_stats(cycle(6).with_edges([(0, 3)]), OuterEmbedding.identity(6), (0, 3))
+        u_lines = ["size_sum", "s1", "p1", "s2", "p2"]
+        up_lines = ["size_sum_prime", "t1", "q1", "t2", "q2"]
+        assert list(side_inequalities(st)) == u_lines + up_lines
+
     def test_eq1_holds_on_corpus(self):
         for n in range(3, 8):
             for g, emb in two_connected_corpus(n):
-                for st, crossing, _ in chord_instances(g, emb):
+                for st, crossing in chord_instances(g, emb):
                     assert crossing <= st.six_product_bound
 
     def test_quadratic_bound_holds_on_corpus(self):
         for n in range(3, 8):
             for g, emb in two_connected_corpus(n):
-                for st, crossing, _ in chord_instances(g, emb):
+                for st, crossing in chord_instances(g, emb):
                     assert crossing <= st.quadratic_bound
 
     def test_neighbor_count_lines_hold_on_corpus(self):
@@ -208,8 +218,8 @@ class TestInequalities:
         # vertices, giving p2 = 2 against the claimed cap of 1
         g = cycle(6).with_edges([(0, 3), (1, 3), (0, 4)])
         st = chord_stats(g, OuterEmbedding.identity(6), (0, 4))
-        assert st.p2 == 2
-        assert st.d2 - 1 + st.a + 1 == 1
+        assert st.u.p2 == 2
+        assert len(st.u.d2_set) - 1 + len(st.u.a_set) + 1 == 1
         assert not side_inequalities(st)["p2"]
 
     def test_readme_pentagon_fan_counterexample(self):
@@ -220,8 +230,8 @@ class TestInequalities:
         # against d1' - 1 + a' + 1 = 1
         g = cycle(5).with_edges([(4, 1), (4, 2)])
         st = chord_stats(g, OuterEmbedding.identity(5), (0, 1))
-        assert (st.n1, st.n2) == (2, 5)
-        assert st.t2 == 2
-        assert (st.d1_prime, st.a_prime) == (1, 0)
-        assert st.has_v_ell_prime
+        assert (len(st.u.seq), len(st.up.seq)) == (2, 5)
+        assert st.up.s2 == 2
+        assert (len(st.up.d1_set), len(st.up.a_set)) == (1, 0)
+        assert st.up.v_ell is not None
         assert not side_inequalities(st)["t2"]

@@ -218,6 +218,8 @@ class TestTreeEdgeCutCheck:
                 t = verify.random_bounded_degree_tree(n, k, random.Random(31 * n + k))
                 assert Tree(t.n, t.edges) == t
                 assert max_degree(t) <= k
+                # _cut_is_balanced reads the (low, high) cut as (parent, child)
+                assert all(p < c for p, c in t.edges)
 
     def test_recount_accepts_only_tree_edges_as_parent_child(self):
         assert verify._cut_is_balanced(path_tree(7), 3, (2, 3))
@@ -276,4 +278,4 @@ class TestDualCutBridge:
                 # the host edge of the cut splits vertices consistently
                 host = dual.shared_edge[cut]
                 st = chord_stats(g, emb, host)
-                assert {st.n1, st.n2} == {f1 + 2, f2 + 2}
+                assert {len(st.u.seq), len(st.up.seq)} == {f1 + 2, f2 + 2}

@@ -1,11 +1,13 @@
-"""Import contract: only ``search`` and ``verify-paper`` load numpy, and
-no module imports a name it never uses.
+"""Import contract: only ``search`` and ``verify-paper`` load numpy, no
+module imports a name it never uses, and every name the benchmark's span
+tracer wraps resolves.
 
 Each load check runs in a fresh interpreter, since this test process has
 long since imported the search stack.
 """
 
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -85,3 +87,20 @@ def test_every_imported_name_is_used(module):
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_traced_names_resolve():
+    # the benchmark's span tracer raises when a name it traces is bound
+    # nowhere, so a library function kept only for it must stay a module
+    # attribute
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    missing = [
+        f"{module}.{name}"
+        for module, name in spans.TARGETS
+        if not hasattr(importlib.import_module(f"outerpath.{module}"), name)
+    ]
+    assert missing == []
