@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .graph import Graph
 from .outerplanar import OuterEmbedding, outer_cycle, verify_embedding
+from .paths import count_induced_paths_between
 
 KINDS = ("star", "cycle", "cycle_pendant", "c6_chord", "g_t", "g_t_prime", "double_star")
 
@@ -132,8 +133,6 @@ def h_count(t: int) -> int:
     """
     if t < 2:
         raise ValueError(f"h_count needs t >= 2, got {t}")
-    from .paths import count_induced_paths_between
-
     g, _ = build(ConstructionSpec("g_t", t=t))
     return count_induced_paths_between(g, 0, t - 1, t)
 

@@ -230,16 +230,17 @@ def _forest_relabel(g: Graph) -> Graph:
 
 
 @functools.lru_cache(maxsize=1 << 16)
-def canonical_form(g: Graph) -> bytes:
+def canonical_form(g: Graph) -> str:
     """Lexicographically minimal upper-triangle encoding, equal iff isomorphic.
 
     The bit string is column-major: position m contributes the m bits
     linking it to positions 0..m-1 (earlier position = more significant
-    bit).  The result is the graph6 encoding of the minimizing relabeling,
-    found by :func:`_brute_form`.  A forest is first relabeled by
-    :func:`_forest_relabel` and looked up again, so isomorphic forests
-    share one cache entry and one brute search; the minimum over all
-    relabelings does not depend on the labeling it starts from.
+    bit).  The result is the graph6 text (:func:`~outerpath.graph6.to_graph6`)
+    of the minimizing relabeling, found by :func:`_brute_form`.  A forest
+    is first relabeled by :func:`_forest_relabel` and looked up again, so
+    isomorphic forests share one cache entry and one brute search; the
+    minimum over all relabelings does not depend on the labeling it starts
+    from.
     """
     if g.n > CANONICAL_CAP:
         raise UnsupportedSizeError(f"canonical_form supports n <= {CANONICAL_CAP}, got {g.n}")
@@ -250,7 +251,7 @@ def canonical_form(g: Graph) -> bytes:
     return _brute_form(g)
 
 
-def _brute_form(g: Graph) -> bytes:
+def _brute_form(g: Graph) -> str:
     """:func:`canonical_form` by branch-and-bound over vertex placements.
 
     Finds the minimum over all relabelings; interchangeable twins
@@ -307,7 +308,7 @@ def _brute_form(g: Graph) -> bytes:
             if best[m] >> (m - 1 - i) & 1:
                 rows[i] |= 1 << m
                 rows[m] |= 1 << i
-    return to_graph6(Graph._from_rows(tuple(rows))).encode("ascii")
+    return to_graph6(Graph._from_rows(tuple(rows)))
 
 
 def to_dot(g: Graph) -> str:

@@ -2,9 +2,12 @@
 
 The format packs the column-major upper triangle of the adjacency matrix
 into 6-bit groups offset by 63, after a 1-byte (n <= 62) or 4-byte
-(63 <= n <= 258047) vertex-count header.  Decoding is strict: bad header
-bytes, wrong body length and nonzero padding all raise
-:class:`Graph6Error` carrying the offending byte offset.
+(63 <= n <= 258047) vertex-count header.  Both directions work on
+``str``, one character per graph6 byte.  Decoding is strict: characters
+outside the graph6 range, a 4-byte header for n <= 62, wrong body length
+and nonzero padding all raise :class:`Graph6Error` carrying the offending
+byte offset, so each graph has one accepted encoding (trailing newlines
+aside).
 """
 
 from __future__ import annotations
@@ -42,15 +45,8 @@ def to_graph6(g: Graph) -> str:
     return "".join(out)
 
 
-def from_graph6(text: str | bytes) -> Graph:
-    if isinstance(text, bytes):
-        try:
-            data = text.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise Graph6Error("non-ASCII byte", exc.start) from None
-    else:
-        data = text
-    data = data.rstrip("\n")
+def from_graph6(text: str) -> Graph:
+    data = text.rstrip("\n")
     if not data:
         raise Graph6Error("empty input", 0)
     vals = []
@@ -69,6 +65,8 @@ def from_graph6(text: str | bytes) -> Graph:
         if len(vals) < 4:
             raise Graph6Error("truncated 4-byte vertex count", len(data))
         n = (vals[1] << 12) | (vals[2] << 6) | vals[3]
+        if n <= 62:
+            raise Graph6Error(f"4-byte vertex count for n={n}, which has a 1-byte header", 1)
         body_start = 4
     if n == 0:
         raise Graph6Error("graph6 string encodes an empty graph", 0)

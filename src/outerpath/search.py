@@ -216,22 +216,25 @@ class SearchReport:
 
 def dihedral_orbits(n: int) -> Iterator[tuple[Edges, int]]:
     """Each rotation/reflection orbit of the dissections of the n-gon once,
-    as its least chord set and its size.
+    as its least chord set and its size, the number of dissections in it.
 
-    The least chord set is the one :func:`_dihedral_min` gives, and the
-    size is the number of distinct chord sets among its 2n images, which
-    is the number of dissections in the orbit.  Orbits come in
-    :func:`dissections` order of their least chord sets.
+    Orbits come in the order in which :func:`dissections` first meets a
+    member of each.
     """
-    for chords in dissections(n):
-        images = set()
-        for image in _dihedral_images(n, chords):
-            image = tuple(sorted(image))
-            if image < chords:
-                break
-            images.add(image)
-        else:
-            yield chords, len(images)
+    return _orbit_minima(n, dissections(n))
+
+
+def _orbit_minima(n: int, edge_sets: Iterable[Edges]) -> Iterator[tuple[Edges, int]]:
+    """The least member and size of each rotation/reflection orbit that the
+    sorted (low, high) edge tuples ``edge_sets`` meet, at the first member
+    met; the orbit's 2n images are then kept, so its later members cost one lookup.
+    """
+    seen: set[Edges] = set()
+    for edges in edge_sets:
+        if edges not in seen:
+            images = {tuple(sorted(image)) for image in _dihedral_images(n, edges)}
+            seen |= images
+            yield min(images), len(images)
 
 
 def _sweep_block(args) -> tuple[list[int], list[list[Edges]], np.ndarray]:
@@ -297,11 +300,6 @@ def _dihedral_images(
             yield [(u, v) if u < v else (v, u) for u, v in image]
 
 
-def _dihedral_min(n: int, edges: Edges) -> Edges:
-    """Least sorted edge list among the 2n rotations and reflections of the cycle 0..n-1."""
-    return min(tuple(sorted(image)) for image in _dihedral_images(n, edges))
-
-
 @dataclass(frozen=True)
 class _Sweep:
     """One pass over every n-vertex outerplanar graph, for every path length m.
@@ -341,8 +339,8 @@ def _sweep(n: int, jobs: int) -> _Sweep:
     best = [max(p[0][m] for p in parts) for m in range(n + 1)]
     classes = []
     for m in range(n + 1):
-        reps = {_dihedral_min(n, edges) for p in parts if p[0][m] == best[m] for edges in p[1][m]}
-        classes.append(tuple(Graph(n, rep) for rep in sorted(reps)))
+        tied = (tuple(sorted(edges)) for p in parts if p[0][m] == best[m] for edges in p[1][m])
+        classes.append(tuple(Graph(n, rep) for rep, _ in sorted(_orbit_minima(n, tied))))
     pair_maxima = parts[0][2]
     for p in parts[1:]:
         np.maximum(pair_maxima, p[2], out=pair_maxima)
@@ -418,7 +416,7 @@ def extremal_value(n: int, k: int, jobs: int = 1) -> SearchReport:
         raise ValueError(f"k must be in 2..{n}, got {k}")
     start = time.perf_counter()
     sweep = _sweep(n, jobs)
-    witnesses = {canonical_form(g).decode("ascii") for g in sweep.classes[k]}
+    witnesses = {canonical_form(g) for g in sweep.classes[k]}
     triangulations = catalan(n - 2)
     return SearchReport(
         n=n,

@@ -229,7 +229,7 @@ def relabel(g: Graph, perm: list[int]) -> Graph:
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
-def brute_canonical_graph6(g: Graph) -> bytes:
+def brute_canonical_graph6(g: Graph) -> str:
     """graph6 of the relabeling whose column-major upper triangle is least,
     found by scanning all n! vertex orders (networkx writes the graph6)."""
     import networkx as nx
@@ -239,7 +239,7 @@ def brute_canonical_graph6(g: Graph) -> bytes:
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
     h.add_edges_from((i, m) for i, m in pairs if g.has_edge(best[i], best[m]))
-    return nx.to_graph6_bytes(h, header=False).strip()
+    return nx.to_graph6_bytes(h, header=False).decode("ascii").strip()
 
 
 def random_forest(n: int, rng: random.Random) -> Graph:

@@ -48,10 +48,6 @@ def _report(num: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {num:02d} [{'pass' if ok else 'FAIL'}]: {detail}")
 
 
-def _canon(g: Graph) -> str:
-    return canonical_form(g).decode()
-
-
 def test_criterion_01_p3_extremal_table():
     t0 = time.perf_counter()
     expected = {4: 4, 5: 6, 6: 10, 7: 15, 8: 21}
@@ -64,13 +60,13 @@ def test_criterion_01_p3_extremal_table():
     elapsed = time.perf_counter() - t0
     ok = observed == expected and elapsed < 120
     # small-case witnesses match the stated extremal graphs
-    ok &= witnesses[4] == (_canon(Graph(4, [(i, (i + 1) % 4) for i in range(4)])),)
+    ok &= witnesses[4] == (canonical_form(Graph(4, [(i, (i + 1) % 4) for i in range(4)])),)
     pendant5 = Graph(5, [(i, (i + 1) % 4) for i in range(4)] + [(0, 4)])
-    ok &= _canon(pendant5) in witnesses[5]
+    ok &= canonical_form(pendant5) in witnesses[5]
     # uniqueness of the star from n = 7 on, and the binomial formula
     for n in (7, 8):
         star = Graph(n, [(0, v) for v in range(1, n)])
-        ok &= witnesses[n] == (_canon(star),)
+        ok &= witnesses[n] == (canonical_form(star),)
         ok &= observed[n] == comb(n - 1, 2)
     _report(1, ok, f"values {observed} in {elapsed:.1f}s")
     assert observed == expected
@@ -80,8 +76,8 @@ def test_criterion_01_p3_extremal_table():
 
 def test_criterion_02_witness_sets_n6():
     rep = extremal_value(6, 3)
-    star6 = _canon(Graph(6, [(0, v) for v in range(1, 6)]))
-    hexchord = _canon(build(ConstructionSpec("c6_chord"))[0])
+    star6 = canonical_form(Graph(6, [(0, v) for v in range(1, 6)]))
+    hexchord = canonical_form(build(ConstructionSpec("c6_chord"))[0])
     ok = star6 in rep.witnesses and hexchord in rep.witnesses
     _report(2, ok, f"n=6 witness classes found: {list(rep.witnesses)}")
     assert ok

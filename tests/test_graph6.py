@@ -68,9 +68,11 @@ class TestErrors:
         assert exc.value.offset == 0
 
     def test_bad_byte_offset(self):
-        with pytest.raises(Graph6Error) as exc:
-            from_graph6("D\x1f{{")
-        assert exc.value.offset == 1
+        # below the range, and a non-ASCII character above it
+        for text in ("D\x1f{{", "D\u00e9{{"):
+            with pytest.raises(Graph6Error) as exc:
+                from_graph6(text)
+            assert exc.value.offset == 1
 
     def test_body_too_short(self):
         with pytest.raises(Graph6Error):
@@ -85,6 +87,13 @@ class TestErrors:
         # n=3 uses 3 of 6 body bits; the low padding bit is set here
         with pytest.raises(Graph6Error):
             from_graph6("B" + chr(63 + 1))
+
+    def test_long_header_for_a_short_count(self):
+        # the 4-byte form of n = 5; "Dg?" is the one encoding of that graph
+        assert from_graph6("Dg?").n == 5
+        with pytest.raises(Graph6Error) as exc:
+            from_graph6("~??D" + "g?")
+        assert exc.value.offset == 1
 
     def test_oversized_count(self):
         # 4-byte header encoding n=192
