@@ -89,10 +89,12 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as (u, v) with u < v, in lexicographic order."""
-        for u in range(self.n):
-            row = self.adj[u] >> (u + 1) << (u + 1)
-            for v in bits(row):
-                yield (u, v)
+        for u, row in enumerate(self.adj):
+            row = row >> (u + 1) << (u + 1)
+            while row:
+                low = row & -row
+                yield (u, low.bit_length() - 1)
+                row ^= low
 
     @property
     def full_mask(self) -> VertexSet:
@@ -131,12 +133,19 @@ def induced_subgraph(g: Graph, s: VertexSet) -> Graph:
         raise ValueError("cannot take the subgraph induced by an empty vertex set")
     if s & ~g.full_mask:
         raise ValueError("vertex set contains indices outside the graph")
-    verts = list(bits(s))
-    index = {v: i for i, v in enumerate(verts)}
-    rows = [0] * len(verts)
-    for i, v in enumerate(verts):
-        for u in bits(g.adj[v] & s):
-            rows[i] |= 1 << index[u]
+    # a kept vertex u lands on the number of kept vertices below it
+    rows = []
+    rest = s
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        row = g.adj[low.bit_length() - 1] & s
+        new = 0
+        while row:
+            u = row & -row
+            row ^= u
+            new |= 1 << (s & (u - 1)).bit_count()
+        rows.append(new)
     return Graph._from_rows(tuple(rows))
 
 
@@ -165,28 +174,39 @@ def blocks(g: Graph) -> list[VertexSet]:
     w reaches above v, and the block is v plus every vertex discovered
     since w.  Isolated vertices lie in no block.
     """
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
+    adj = g.adj
+    disc = [-1] * g.n
+    low = [0] * g.n
     stack: list[int] = []
     out = []
+    found = 0
 
     def visit(v: int) -> None:
-        disc[v] = low[v] = len(disc)
+        nonlocal found
+        dv = lv = disc[v] = found
+        found += 1
         stack.append(v)
-        for w in bits(g.adj[v]):
-            if w in disc:
-                low[v] = min(low[v], disc[w])
+        rest = adj[v]
+        while rest:
+            wbit = rest & -rest
+            rest ^= wbit
+            w = wbit.bit_length() - 1
+            if disc[w] >= 0:
+                if disc[w] < lv:
+                    lv = disc[w]
                 continue
             visit(w)
-            low[v] = min(low[v], low[w])
-            if low[w] >= disc[v]:
+            if low[w] < lv:
+                lv = low[w]
+            if low[w] >= dv:
                 block = 1 << v
-                while not block >> w & 1:
+                while not block & wbit:
                     block |= 1 << stack.pop()
                 out.append(block)
+        low[v] = lv
 
     for v in range(g.n):
-        if v not in disc:
+        if disc[v] < 0:
             visit(v)
     return out
 

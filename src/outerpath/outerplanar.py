@@ -63,9 +63,14 @@ def verify_embedding(g: Graph, emb: OuterEmbedding) -> bool:
     _check_permutation(g, emb)
     pos = emb.positions()
     spans = []  # (left, -right), so a sort puts longer spans first on a tie
-    for u, v in g.edges():
-        a, b = pos[u], pos[v]
-        spans.append((a, -b) if a < b else (b, -a))
+    for u, row in enumerate(g.adj):
+        a = pos[u]
+        row = row >> (u + 1) << (u + 1)
+        while row:
+            low = row & -row
+            row ^= low
+            b = pos[low.bit_length() - 1]
+            spans.append((a, -b) if a < b else (b, -a))
     spans.sort()
     ends: list[int] = []
     for a, neg_b in spans:
@@ -94,31 +99,38 @@ def _peel_cycle(adj: tuple[int, ...], block: VertexSet) -> list[int] | None:
     The cycle starts at the block's smallest vertex, followed by its
     smaller cycle neighbor.
     """
-    rows = {v: adj[v] & block for v in bits(block)}
-    ready = [v for v, row in rows.items() if row.bit_count() == 2]
+    rows = [row & block for row in adj]
+    left = block
+    ready = [v for v in bits(block) if rows[v].bit_count() == 2]
     removed = []
-    while len(rows) > 3:
+    size = block.bit_count()
+    while len(removed) + 3 < size:
         if not ready:
             return None
         v = ready.pop()
-        if v not in rows:
+        if not left >> v & 1:
             continue
-        u, w = bits(rows.pop(v))
-        for a, b in ((u, w), (w, u)):
-            rows[a] = rows[a] & ~(1 << v) | 1 << b
+        left ^= 1 << v
+        row = rows[v]
+        ubit = row & -row
+        wbit = row ^ ubit
+        u, w = ubit.bit_length() - 1, wbit.bit_length() - 1
+        for a, other in ((u, wbit), (w, ubit)):
+            rows[a] = rows[a] & ~(1 << v) | other
             if rows[a].bit_count() == 2:
                 ready.append(a)
         removed.append((v, u, w))
-    a, b, c = rows
-    succ = {a: b, b: c, c: a}
+    a, b, c = bits(left)
+    succ = [0] * len(adj)
+    succ[a], succ[b], succ[c] = b, c, a
     for v, u, w in reversed(removed):
         if succ[w] == u:
             u, w = w, u
         if succ[u] != w:
             return None
         succ[u], succ[v] = v, w
-    cycle = [min(succ)]
-    while len(cycle) < len(succ):
+    cycle = [(block & -block).bit_length() - 1]
+    for _ in range(size - 1):
         cycle.append(succ[cycle[-1]])
     if cycle[1] > cycle[-1]:
         cycle[1:] = cycle[:0:-1]
@@ -130,8 +142,9 @@ def is_outerplanar(g: Graph) -> bool:
 
     Rejects immediately on the edge bound e > 2n-3.  Otherwise each such
     block is peeled to a candidate outer cycle, which must
-    pass :func:`verify_embedding` on the block's induced subgraph, so a
-    True answer always rests on a checked embedding.
+    pass :func:`verify_embedding` on the block's induced subgraph (on
+    ``g`` itself when the block spans it), so a True answer always rests
+    on a checked embedding.
     """
     n = g.n
     if n >= 2 and g.edge_count() > 2 * n - 3:
@@ -142,9 +155,13 @@ def is_outerplanar(g: Graph) -> bool:
         cycle = _peel_cycle(g.adj, block)
         if cycle is None:
             return False
-        rank = {v: i for i, v in enumerate(bits(block))}
-        emb = OuterEmbedding(tuple(rank[v] for v in cycle))
-        if not verify_embedding(induced_subgraph(g, block), emb):
+        if block == g.full_mask:
+            # relabelling the block would change nothing
+            sub, emb = g, OuterEmbedding(tuple(cycle))
+        else:
+            rank = {v: i for i, v in enumerate(bits(block))}
+            sub, emb = induced_subgraph(g, block), OuterEmbedding(tuple(rank[v] for v in cycle))
+        if not verify_embedding(sub, emb):
             return False
     return True
 

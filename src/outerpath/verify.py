@@ -285,11 +285,8 @@ def _cut_is_balanced(t: Tree, k: int, cut: tuple[int, int]) -> bool:
     Counts the sides itself instead of trusting the cut search: the edges
     of a :class:`Tree` are (parent, child) pairs in connected order, so one
     pass over them in reverse finishes every subtree before adding it to
-    its parent's.  ``cut`` must be given as (parent, child), while
-    :func:`~outerpath.dual.balanced_edge_cut` returns (low, high).  The two
-    agree only when every parent is below its child, as in the trees of
-    :func:`random_bounded_degree_tree`; on other trees a valid cut may be
-    rejected.
+    its parent's.  ``cut`` may name its ends in either order, as
+    :func:`~outerpath.dual.balanced_edge_cut` returns (low, high).
     """
     n = t.n
     parent = [-1] * n
@@ -298,6 +295,8 @@ def _cut_is_balanced(t: Tree, k: int, cut: tuple[int, int]) -> bool:
         parent[c] = p
         sub[p] += sub[c]
     u, v = cut
+    if parent[u] == v:
+        u, v = v, u
     return parent[v] == u and k * min(sub[v], n - sub[v]) >= n - 1
 
 

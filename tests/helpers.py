@@ -219,9 +219,55 @@ def outerplanar_by_order_search(g: Graph) -> bool:
     return False
 
 
+def random_edges(n: int, p: float, rng: random.Random) -> list[tuple[int, int]]:
+    """Each pair u < v of 0..n-1 with probability p."""
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+
+
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return Graph(n, edges)
+    return Graph(n, random_edges(n, p, rng))
+
+
+def random_outerplanar_edges(n: int, rng: random.Random) -> list[tuple[int, int]]:
+    """Edges of a random outerplanar graph on 0..n-1, drawn without outerpath.
+
+    A random triangulation of the polygon 0..n-1 (each base lo..hi gets a
+    random apex) keeps each chord and each polygon edge with its own random
+    probability, and the vertices are then shuffled.
+    """
+    chords = []
+    bases = [(0, n - 1)]
+    while bases:
+        lo, hi = bases.pop()
+        if hi - lo < 2:
+            continue
+        apex = rng.randint(lo + 1, hi - 1)
+        chords += [(a, b) for a, b in ((lo, apex), (apex, hi)) if b - a >= 2]
+        bases += [(lo, apex), (apex, hi)]
+    keep_chord, keep_side = rng.random(), rng.uniform(0.5, 1.0)
+    edges = [c for c in chords if rng.random() < keep_chord]
+    edges += [e for e in _cycle(n) if rng.random() < keep_side]
+    label = list(range(n))
+    rng.shuffle(label)
+    return [(label[u], label[v]) for u, v in edges]
+
+
+def middle_edge_p4_count(n: int, edges: list[tuple[int, int]]) -> int:
+    """Induced 4-vertex paths a-u-v-b, each counted once at its middle edge uv.
+
+    a is a neighbor of u off the closed neighborhood of v, b one of v off
+    that of u, and a and b are not adjacent.
+    """
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    total = 0
+    for u, v in {(min(e), max(e)) for e in edges}:
+        ends_u = nbrs[u] - nbrs[v] - {v}
+        ends_v = nbrs[v] - nbrs[u] - {u}
+        total += sum(1 for a in ends_u for b in ends_v if b not in nbrs[a])
+    return total
 
 
 def relabel(g: Graph, perm: list[int]) -> Graph:

@@ -218,19 +218,25 @@ class TestTreeEdgeCutCheck:
                 t = verify.random_bounded_degree_tree(n, k, random.Random(31 * n + k))
                 assert Tree(t.n, t.edges) == t
                 assert max_degree(t) <= k
-                # _cut_is_balanced reads the (low, high) cut as (parent, child)
-                assert all(p < c for p, c in t.edges)
 
-    def test_recount_accepts_only_tree_edges_as_parent_child(self):
+    def test_recount_accepts_tree_edges_in_either_order(self):
         assert verify._cut_is_balanced(path_tree(7), 3, (2, 3))
+        assert verify._cut_is_balanced(path_tree(7), 3, (3, 2))
         assert verify._cut_is_balanced(path_tree(7), 3, (3, 4))
-        assert verify._cut_is_balanced(Tree(4, ((0, 1), (0, 2), (0, 3))), 3, (0, 2))
+        assert verify._cut_is_balanced(Tree(4, ((0, 1), (0, 2), (0, 3))), 3, (2, 0))
         t = path_tree(3)
         assert verify._cut_is_balanced(t, 3, (0, 1))
+        assert verify._cut_is_balanced(t, 3, (1, 0))
         assert not verify._cut_is_balanced(t, 3, (0, 2))
-        # the cut search returns (min, max); here that is (parent, child)
-        assert not verify._cut_is_balanced(t, 3, (1, 0))
-        assert not verify._cut_is_balanced(path_tree(7), 3, (3, 2))
+        assert not verify._cut_is_balanced(t, 3, (2, 0))
+
+    def test_recount_accepts_the_cut_search_where_parents_are_above_children(self):
+        # balanced_edge_cut returns (low, high), here (child, parent)
+        star = Tree(4, ((3, 0), (3, 1), (3, 2)))
+        path = Tree(5, ((4, 3), (3, 2), (2, 1), (1, 0)))
+        for t, cut in ((star, (0, 3)), (path, (1, 2))):
+            assert balanced_edge_cut(t, 3) == cut
+            assert verify._cut_is_balanced(t, 3, cut)
 
     def test_recount_rejects_unbalanced_edges(self):
         t = path_tree(20)

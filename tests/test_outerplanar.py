@@ -11,8 +11,10 @@ from outerpath import (
     is_two_connected,
     maximal_completion,
     outer_cycle,
+    outerplanar,
     verify_embedding,
 )
+from outerpath.graph import bits
 
 from helpers import orders_cross, outerplanar_by_order_search, random_graph, relabel, two_connected_corpus
 
@@ -234,6 +236,37 @@ class TestOuterCycle:
                 order = outer_cycle(relabel(g, perm)).order
                 assert order[0] == 0 and order[1] < order[-1]
                 assert cycle_edges(order) == cycle_edges(perm)
+
+
+@pytest.fixture
+def ascending_peel(monkeypatch):
+    # a peel that trusts the input: each block's vertices in ascending order,
+    # which is a Hamiltonian cycle of the graphs below, crossing chords and all
+    monkeypatch.setattr(outerplanar, "_peel_cycle", lambda adj, block: list(bits(block)))
+
+
+class TestCertificateCheck:
+    """A peeled cycle is only a candidate; recognition must certify it."""
+
+    # C6 plus the interleaving chords (0, 3) and (1, 4): a K4 subdivision
+    crossed = cycle(6).with_edges([(0, 3), (1, 4)])
+
+    def test_whole_graph_block(self, ascending_peel):
+        assert not is_outerplanar(self.crossed)
+        assert is_outerplanar(c6_chord())
+
+    def test_block_beside_a_cut_vertex(self, ascending_peel):
+        # vertex 0 hangs off the block 1..6, which is relabelled before its check
+        def pendant_c6(chords):
+            return Graph(7, [(0, 1)] + [(1 + i, 1 + (i + 1) % 6) for i in range(6)] + chords)
+
+        assert not is_outerplanar(pendant_c6([(1, 4), (2, 5)]))
+        assert is_outerplanar(pendant_c6([(1, 4)]))
+
+    def test_outer_cycle(self, ascending_peel):
+        with pytest.raises(ValueError):
+            outer_cycle(self.crossed)
+        assert outer_cycle(c6_chord()).order == tuple(range(6))
 
 
 class TestMaximalCompletion:

@@ -13,7 +13,14 @@ from outerpath import (
     random_outerplanar,
 )
 
-from helpers import brute_count_between, brute_count_induced_paths, random_graph
+from helpers import (
+    brute_count_between,
+    brute_count_induced_paths,
+    middle_edge_p4_count,
+    random_edges,
+    random_graph,
+    random_outerplanar_edges,
+)
 
 
 def cycle(n):
@@ -56,6 +63,21 @@ class TestCountInducedPaths:
             g = random_graph(n, rng.uniform(0.2, 0.9), rng)
             for k in range(2, min(n, 5) + 1):
                 assert count_induced_paths(g, k).copies == brute_count_induced_paths(g, k)
+
+    def test_p4_matches_the_middle_edge_count_on_outerplanar_graphs(self):
+        # beyond the brute force's reach, at and above the benchmark's sizes
+        rng = random.Random(4004)
+        for _ in range(300):
+            n = rng.randint(4, 30)
+            edges = random_outerplanar_edges(n, rng)
+            assert count_induced_paths(Graph(n, edges), 4).copies == middle_edge_p4_count(n, edges)
+
+    def test_p4_matches_the_middle_edge_count_on_random_graphs(self):
+        rng = random.Random(4005)
+        for _ in range(300):
+            n = rng.randint(4, 20)
+            edges = random_edges(n, rng.uniform(0.05, 0.9), rng)
+            assert count_induced_paths(Graph(n, edges), 4).copies == middle_edge_p4_count(n, edges)
 
     def test_triangle_has_no_induced_p3(self):
         assert count_induced_paths(Graph(3, [(0, 1), (1, 2), (0, 2)]), 3).copies == 0
