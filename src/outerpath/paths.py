@@ -1,19 +1,22 @@
 """Induced path counting.
 
-The depth-first counters extend a path only at its free endpoint while
-carrying a forbidden mask (the united neighborhoods of all non-terminal
-path vertices), so every emitted vertex sequence is an induced path by
-construction.  Unordered copies are counted once each by requiring the
-first endpoint to be smaller than the last.  :func:`count_induced_paths`
-recurses only to the next-to-last vertex and counts the choices of the
-last one there, with one popcount per next-to-last vertex.
+The depth-first walkers extend a path only at its free endpoint, drawing
+the next vertex from the last one's neighbors outside a forbidden mask
+``forb``: the start bit plus the neighborhoods of every path vertex before
+the last.  ``forb`` holds every path vertex, so each emitted vertex
+sequence is an induced path by construction.  (Without the start bit only
+the start could recur, as the third vertex, where every extension is
+forbidden; the seed prunes that dead branch.)  One counter serves both
+:func:`count_induced_paths` and :func:`count_induced_paths_between`: it
+counts the paths that end in a vertex set, recursing to the next-to-last
+vertex and taking one popcount there for the choices of the last.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .graph import Graph
 
@@ -22,6 +25,35 @@ from .graph import Graph
 class PathCount:
     k: int
     copies: int
+
+
+def _path_counter(adj: tuple[int, ...], k: int) -> Callable[[int, int, int, int], int]:
+    """``extend(last, forb, depth, end)`` counts the induced ``k``-vertex
+    paths (k >= 3) that extend a ``depth``-vertex path and end in ``end``."""
+
+    def extend(last: int, forb: int, depth: int, end: int) -> int:
+        cand = adj[last] & ~forb
+        forb |= adj[last]
+        # the path's last vertex lies at least two steps past ``last``, so it
+        # must avoid forb, which only grows: no end outside forb, no path
+        keep = end & ~forb
+        if not keep:
+            return 0
+        total = 0
+        if depth + 2 == k:
+            # each next vertex w ends the path at its neighbors in ``keep``
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                total += (adj[low.bit_length() - 1] & keep).bit_count()
+            return total
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            total += extend(low.bit_length() - 1, forb, depth + 1, end)
+        return total
+
+    return extend
 
 
 def count_induced_paths(g: Graph, k: int) -> PathCount:
@@ -33,31 +65,12 @@ def count_induced_paths(g: Graph, k: int) -> PathCount:
         return PathCount(1, n)
     if k == 2:
         return PathCount(2, g.edge_count())
-    adj = g.adj
+    extend = _path_counter(g.adj, k)
     full = g.full_mask
-
-    def extend(last: int, pmask: int, forb: int, depth: int, end: int) -> int:
-        cand = adj[last] & ~(pmask | forb)
-        forb |= adj[last]
-        total = 0
-        if depth + 2 == k:
-            # each next vertex w ends the path at its neighbors in ``keep``
-            keep = end & ~(pmask | forb)
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                total += (adj[low.bit_length() - 1] & keep).bit_count()
-            return total
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            total += extend(low.bit_length() - 1, pmask | low, forb, depth + 1, end)
-        return total
-
     total = 0
-    # a path from s ends at a vertex above s
+    # a path from s ends at a vertex above s, so each copy counts once
     for s in range(n - 1):
-        total += extend(s, 1 << s, 0, 1, full >> (s + 1) << (s + 1))
+        total += extend(s, 1 << s, 1, full >> (s + 1) << (s + 1))
     return PathCount(k, total)
 
 
@@ -87,26 +100,9 @@ def count_induced_paths_between(g: Graph, x: int, y: int, k: int) -> int:
         raise ValueError("endpoints must be distinct")
     if not 2 <= k <= n:
         raise ValueError(f"path length k must be in 2..{n}, got {k}")
-    adj = g.adj
-    end = 1 << y
-
-    def extend(last: int, pmask: int, forb: int, depth: int) -> int:
-        cand = adj[last] & ~(pmask | forb)
-        if depth + 1 == k:
-            return cand >> y & 1
-        nforb = forb | adj[last]
-        # y next to the last vertex or one before it can no longer end the
-        # path; so y is never in cand below
-        if nforb & end:
-            return 0
-        total = 0
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            total += extend(low.bit_length() - 1, pmask | low, nforb, depth + 1)
-        return total
-
-    return extend(x, 1 << x, 0, 1)
+    if k == 2:
+        return int(g.has_edge(x, y))
+    return _path_counter(g.adj, k)(x, 1 << x, 1, 1 << y)
 
 
 def iter_induced_paths(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
@@ -117,8 +113,8 @@ def iter_induced_paths(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
     adj = g.adj
     path: list[int] = []
 
-    def extend(last: int, pmask: int, forb: int) -> Iterator[tuple[int, ...]]:
-        cand = adj[last] & ~(pmask | forb)
+    def extend(last: int, forb: int) -> Iterator[tuple[int, ...]]:
+        cand = adj[last] & ~forb
         if len(path) + 1 == k:
             cand = cand >> (path[0] + 1) << (path[0] + 1)
             while cand:
@@ -132,9 +128,9 @@ def iter_induced_paths(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
             cand ^= low
             w = low.bit_length() - 1
             path.append(w)
-            yield from extend(w, pmask | low, nforb)
+            yield from extend(w, nforb)
             path.pop()
 
     for s in range(n):
         path[:] = [s]
-        yield from extend(s, 1 << s, 0)
+        yield from extend(s, 1 << s)
