@@ -66,11 +66,10 @@ def count_induced_paths(g: Graph, k: int) -> PathCount:
     if k == 2:
         return PathCount(2, g.edge_count())
     extend = _path_counter(g.adj, k)
-    full = g.full_mask
     total = 0
     # a path from s ends at a vertex above s, so each copy counts once
     for s in range(n - 1):
-        total += extend(s, 1 << s, 1, full >> (s + 1) << (s + 1))
+        total += extend(s, 1 << s, 1, (1 << n) - (2 << s))
     return PathCount(k, total)
 
 
@@ -113,24 +112,28 @@ def iter_induced_paths(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
     adj = g.adj
     path: list[int] = []
 
-    def extend(last: int, forb: int) -> Iterator[tuple[int, ...]]:
+    def extend(last: int, forb: int, end: int) -> Iterator[tuple[int, ...]]:
         cand = adj[last] & ~forb
         if len(path) + 1 == k:
-            cand = cand >> (path[0] + 1) << (path[0] + 1)
+            cand &= end
             while cand:
                 low = cand & -cand
                 cand ^= low
                 yield tuple(path) + (low.bit_length() - 1,)
             return
-        nforb = forb | adj[last]
+        forb |= adj[last]
+        # as in the counter: the last vertex must avoid forb
+        if not end & ~forb:
+            return
         while cand:
             low = cand & -cand
             cand ^= low
             w = low.bit_length() - 1
             path.append(w)
-            yield from extend(w, nforb)
+            yield from extend(w, forb, end)
             path.pop()
 
-    for s in range(n):
+    # a path from s ends at a vertex above s, so each is yielded once
+    for s in range(n - 1):
         path[:] = [s]
-        yield from extend(s, 1 << s)
+        yield from extend(s, 1 << s, (1 << n) - (2 << s))

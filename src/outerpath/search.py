@@ -134,49 +134,43 @@ def _path_candidates(n: int, chords: Edges) -> list[tuple[int, int, int, int, in
     """Self-avoiding paths on 2 or more vertices of the cycle 0..n-1 plus
     ``chords``, as (length, start, end, req, mask) over the cycle edges.
 
-    Cycle edge i of :func:`_cycle_edges` has bit i.  With every chord
-    present and the cycle edges of subset S, a path is induced iff
-    ``S & mask == req``: ``req`` holds the bits of its consecutive pairs,
-    ``mask`` also those of its non-consecutive pairs that are cycle
-    edges.  A path with a chord between non-consecutive vertices is never
-    induced, nor is any extension of it; neither is produced.  Paths are
-    produced once each (start < end).
+    Cycle edge i of :func:`_cycle_edges` joins i and i+1 (mod n) and has
+    bit i.  With every chord present and the cycle edges of subset S, a
+    path is induced iff ``S & mask == req``: ``req`` holds the bits of its
+    consecutive pairs and ``mask`` every cycle edge inside the path.  A
+    path with a chord between non-consecutive vertices is never induced,
+    nor is any extension of it; neither is produced.  Paths are produced
+    once each (start < end).
     """
-    edges = _cycle_edges(n) + list(chords)
-    cycle_bits = (1 << n) - 1
-    # ebit[u][v]: the edge-index bit of edge uv, 0 for a non-edge
-    ebit = [[0] * n for _ in range(n)]
-    adj = [0] * n
-    for i, (u, v) in enumerate(edges):
-        ebit[u][v] = ebit[v][u] = 1 << i
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    chord_adj = [0] * n
+    for u, v in chords:
+        chord_adj[u] |= 1 << v
+        chord_adj[v] |= 1 << u
+    adj = [row | 1 << (v + 1) % n | 1 << (v - 1) % n for v, row in enumerate(chord_adj)]
+    # the two cycle edges at v; the cycle edge uw is cycle_at[u] & cycle_at[w]
+    cycle_at = [1 << v | 1 << (v - 1) % n for v in range(n)]
     out: list[tuple[int, int, int, int, int]] = []
-    path: list[int] = []
 
-    def extend(u: int, pmask: int, req: int, forb: int) -> None:
-        length = len(path) + 1
+    def extend(start: int, u: int, length: int, pmask: int, req: int) -> None:
         m = adj[u] & ~pmask
         while m:
             low = m & -m
-            w = low.bit_length() - 1
             m ^= low
-            row = ebit[w]
-            nforb = forb
-            for v in path[:-1]:
-                nforb |= row[v]
-            if nforb & ~cycle_bits:
+            w = low.bit_length() - 1
+            # a chord from w to a path vertex other than u
+            if chord_adj[w] & pmask & ~(1 << u):
                 continue
-            nreq = req | row[u]
-            if w > path[0]:
-                out.append((length, path[0], w, nreq & cycle_bits, (nreq | nforb) & cycle_bits))
-            path.append(w)
-            extend(w, pmask | low, nreq, nforb)
-            path.pop()
+            nreq = req | cycle_at[u] & cycle_at[w]
+            p = pmask | low
+            if w > start:
+                # a cycle edge on the path joins consecutive vertices (req) or
+                # others, which S must omit: mask is every i with i, i+1 (mod n) in p
+                out.append((length + 1, start, w, nreq, p & (p >> 1 | (p & 1) << (n - 1))))
+            extend(start, w, length + 1, p, nreq)
 
-    for s in range(n):
-        path[:] = [s]
-        extend(s, 1 << s, 0, 0)
+    # a path from n-1 has every end below its start
+    for s in range(n - 1):
+        extend(s, s, 1, 1 << s, 0)
     return out
 
 

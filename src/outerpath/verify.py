@@ -107,7 +107,7 @@ def random_bounded_degree_tree(n: int, k: int, rng: random.Random) -> Tree:
     if n <= 1:
         return Tree(n, ())
     getrandbits = rng.getrandbits
-    parents = []
+    edges = []
     # each node but the root joins with the edge to its parent
     deg = [1] * n
     deg[0] = 0
@@ -119,7 +119,7 @@ def random_bounded_degree_tree(n: int, k: int, rng: random.Random) -> Tree:
         while i >= m:
             i = getrandbits(bits)
         parent = available[i]
-        parents.append(parent)
+        edges.append((parent, v))
         deg[parent] += 1
         if deg[parent] >= k:
             available[i] = available[-1]
@@ -128,7 +128,7 @@ def random_bounded_degree_tree(n: int, k: int, rng: random.Random) -> Tree:
             available.append(v)
             m += 1
     # each node attaches to one placed before it, so this is a tree
-    return Tree._unchecked(n, tuple(zip(parents, range(1, n))))
+    return Tree._unchecked(n, tuple(edges))
 
 
 def _canon(kind: str, n: int | None = None) -> str:

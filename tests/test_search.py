@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import random
 import time
+from collections import Counter
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -26,6 +27,7 @@ from outerpath import (
     fib,
     from_graph6,
     is_outerplanar,
+    iter_induced_paths,
     random_outerplanar,
     search,
     to_graph6,
@@ -193,6 +195,24 @@ class TestOrbitRepresentatives:
         }
         assert max(widest.values()) < 2**15
         assert widest[9] == 214
+
+    def test_candidate_rows_are_the_induced_paths_of_each_subset(self):
+        # the rows that subset S keeps, per (length, start, end), against the
+        # lister's induced paths of the cycle edges in S plus the chords
+        graphs = 0
+        for n in range(3, 8):
+            cycle = [(i, (i + 1) % n) for i in range(n)]
+            for chords, _ in dihedral_orbits(n):
+                rows = _path_candidates(n, chords)
+                for s in range(1 << n):
+                    kept = Counter(row[:3] for row in rows if s & row[4] == row[3])
+                    g = Graph(n, [e for i, e in enumerate(cycle) if s >> i & 1] + list(chords))
+                    paths = Counter(
+                        (k, p[0], p[-1]) for k in range(2, n + 1) for p in iter_induced_paths(g, k)
+                    )
+                    assert kept == paths, (n, chords, s)
+                    graphs += 1
+        assert graphs == 3272
 
     def test_census_is_dihedrally_symmetric(self):
         for n in range(3, 9):

@@ -23,6 +23,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PATHS = "src/outerpath/paths.py"
+SEARCH = "src/outerpath/search.py"
 
 # (name, file, old text, new text, pytest selection)
 MUTANTS = [
@@ -47,6 +48,34 @@ MUTANTS = [
         "if forb & end:",
         ["tests/test_paths.py"],
     ),
+    (
+        "lister's last level drops the end set",
+        PATHS,
+        "            cand &= end\n",
+        "",
+        ["tests/test_paths.py"],
+    ),
+    (
+        "candidate mask drops the wrap-around cycle edge",
+        SEARCH,
+        "p & (p >> 1 | (p & 1) << (n - 1))",
+        "p & (p >> 1)",
+        ["tests/test_search.py"],
+    ),
+    (
+        "candidate walk skips the start n-2",
+        SEARCH,
+        "for s in range(n - 1):\n        extend(",
+        "for s in range(n - 2):\n        extend(",
+        ["tests/test_search.py"],
+    ),
+    (
+        "candidate chord test counts the predecessor",
+        SEARCH,
+        "chord_adj[w] & pmask & ~(1 << u)",
+        "chord_adj[w] & pmask",
+        ["tests/test_search.py"],
+    ),
 ]
 
 IGNORE = shutil.ignore_patterns(
@@ -57,7 +86,7 @@ IGNORE = shutil.ignore_patterns(
 def run_selection(copy: Path, selection: list[str]) -> subprocess.CompletedProcess:
     # no bytecode cache: a .pyc is matched by source mtime (whole seconds)
     # and size, so two same-size mutants of one file could share a stale one
-    env ={**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     return subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *selection],
         cwd=copy,
