@@ -256,7 +256,8 @@ def canonical_form(g: Graph) -> str:
     The bit string is column-major: position m contributes the m bits
     linking it to positions 0..m-1 (earlier position = more significant
     bit).  The result is the graph6 text (:func:`~outerpath.graph6.to_graph6`)
-    of the minimizing relabeling, found by :func:`_brute_form`.  A forest
+    of the minimizing relabeling, found by :func:`_brute_form`, which places
+    only least-coded vertices and one of each set of twins.  A forest
     is first relabeled by :func:`_forest_relabel` and looked up again, so
     isomorphic forests share one cache entry and one brute search; the
     minimum over all relabelings does not depend on the labeling it starts
@@ -274,54 +275,42 @@ def canonical_form(g: Graph) -> str:
 def _brute_form(g: Graph) -> str:
     """:func:`canonical_form` by branch-and-bound over vertex placements.
 
-    Finds the minimum over all relabelings; interchangeable twins
-    (identical open or closed neighborhoods) are explored once.
+    ``codes[w]`` is w's adjacency to the placed positions, the first
+    position as the most significant bit, so the column a placement adds is
+    its vertex's code.  The search is exact: the least column sequence
+    places a least-coded free vertex at every position, since a larger code
+    makes a larger column there, and a node is cut once its columns exceed
+    the best sequence's prefix.  Swapping two twins (equal neighborhoods
+    apart from each other) is an automorphism, so of the free twins only the
+    lowest is tried.
     """
     from .graph6 import to_graph6
 
     n = g.n
     adj = g.adj
-    best: list[int] | None = None
+    lower_twins = [0] * n
+    for v in range(n):
+        for u in range(v):
+            if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+                lower_twins[v] |= 1 << u
+    best = [1 << n] * n
+    cols: list[int] = []
 
-    def place(perm: list[int], used: int, cols: list[int]) -> None:
+    def place(free: int, codes: list[int]) -> None:
         nonlocal best
-        m = len(perm)
-        if m == n:
-            if best is None or cols < best:
+        if not free:
+            if cols < best:
                 best = cols.copy()
             return
-        cands = []
-        seen_open: set[int] = set()
-        seen_closed: set[int] = set()
-        for v in range(n):
-            if used >> v & 1:
-                continue
-            row = adj[v]
-            closed = row | (1 << v)
-            if row in seen_open or closed in seen_closed:
-                continue
-            seen_open.add(row)
-            seen_closed.add(closed)
-            code = 0
-            for u in perm:
-                code = (code << 1) | (row >> u & 1)
-            cands.append((code, v))
-        cands.sort()
-        for code, v in cands:
-            if best is not None:
-                tight = True
-                for i in range(m):
-                    if cols[i] != best[i]:
-                        tight = False
-                        break
-                if tight and code > best[m]:
-                    break
-            cols.append(code)
-            place(perm + [v], used | (1 << v), cols)
-            cols.pop()
+        low = min(codes[v] for v in bits(free))
+        cols.append(low)
+        if cols <= best[: len(cols)]:
+            for v in bits(free):
+                if codes[v] == low and not lower_twins[v] & free:
+                    place(free ^ 1 << v, [c << 1 | (adj[w] >> v & 1) for w, c in enumerate(codes)])
+        cols.pop()
 
-    place([], 0, [])
-    assert best is not None
+    place(g.full_mask, [0] * n)
     rows = [0] * n
     for m in range(1, n):
         for i in range(m):

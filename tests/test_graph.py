@@ -8,6 +8,7 @@ from outerpath import (
     UnsupportedSizeError,
     blocks,
     canonical_form,
+    from_graph6,
     graph,
     induced_subgraph,
     is_two_connected,
@@ -174,6 +175,26 @@ class TestCanonicalForm:
             g = Graph(4, [pairs[i] for i in range(6) if mask >> i & 1])
             forms.add(canonical_form(g))
         assert len(forms) == 11
+
+    def test_atlas_graphs_match_a_scan_of_all_permutations(self):
+        rng = random.Random(6)
+        graphs = [Graph(h.number_of_nodes(), h.edges()) for h in nx.graph_atlas_g()[1:]]
+        graphs = [g for g in graphs if g.n <= 6]
+        # graphs on 1..6 vertices up to isomorphism (OEIS A000088)
+        assert len(graphs) == 1 + 2 + 4 + 11 + 34 + 156
+        for g in graphs:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            expected = brute_canonical_graph6(g)
+            assert canonical_form(g) == canonical_form(relabel(g, perm)) == expected
+
+    def test_sweep_witnesses_match_a_scan_of_all_permutations(self):
+        witnesses = {
+            w for n in range(4, 8) for k in range(2, n + 1) for w in search.extremal_value(n, k).witnesses
+        }
+        assert len(witnesses) == 28
+        for w in witnesses:
+            assert brute_canonical_graph6(from_graph6(w)) == w
 
 
 def _atlas_forests():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import os
@@ -417,6 +418,11 @@ class TestExtremalValue:
         }
         star9 = canonical_form(Graph(9, [(0, v) for v in range(1, 9)]))
         assert witnesses[3] == (star9,)
+        # the witness strings themselves, so a change of canonical form shows
+        text = json.dumps({m: list(w) for m, w in witnesses.items()}, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "dfc8870e5c2a04446e1e35bb8ab345d61ac752b45d0c8b5ef773bb22fa658ac7"
+        )
         for m, strings in witnesses.items():
             for w in strings:
                 assert brute_count_induced_paths(from_graph6(w), m) == best[m]

@@ -22,8 +22,11 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+CONSTRUCTIONS = "src/outerpath/constructions.py"
+GRAPH = "src/outerpath/graph.py"
 PATHS = "src/outerpath/paths.py"
 SEARCH = "src/outerpath/search.py"
+VERIFY = "src/outerpath/verify.py"
 
 # (name, file, old text, new text, pytest selection)
 MUTANTS = [
@@ -75,6 +78,55 @@ MUTANTS = [
         "chord_adj[w] & pmask & ~(1 << u)",
         "chord_adj[w] & pmask",
         ["tests/test_search.py"],
+    ),
+    (
+        "dihedral images drop the reflections",
+        SEARCH,
+        "for sign in (1, -1):",
+        "for sign in (1,):",
+        ["tests/test_search.py"],
+    ),
+    (
+        "canonical search cuts a prefix equal to the best",
+        GRAPH,
+        "if cols <= best[: len(cols)]:",
+        "if cols < best[: len(cols)]:",
+        ["tests/test_graph.py"],
+    ),
+    (
+        "every vertex is its own lower twin",
+        GRAPH,
+        "for u in range(v):",
+        "for u in range(v + 1):",
+        ["tests/test_graph.py"],
+    ),
+    (
+        "canonical search keeps a worse leaf",
+        GRAPH,
+        "if cols < best:",
+        "if cols > best:",
+        ["tests/test_graph.py"],
+    ),
+    (
+        "balanced-cut check reads the cut in one orientation",
+        VERIFY,
+        "    if parent[u] == v:\n        u, v = v, u\n",
+        "",
+        ["tests/test_dual.py"],
+    ),
+    (
+        "fib index shifted by one",
+        CONSTRUCTIONS,
+        "for _ in range(t - 2):",
+        "for _ in range(t - 1):",
+        ["tests/test_constructions.py"],
+    ),
+    (
+        "lower bound off by one in n",
+        CONSTRUCTIONS,
+        "(n - 2 * k + 3) ** 2",
+        "(n - 2 * k + 2) ** 2",
+        ["tests/test_constructions.py"],
     ),
 ]
 
