@@ -299,8 +299,8 @@ def _brute_form(g: Graph) -> str:
     def place(free: int, codes: list[int]) -> None:
         nonlocal best
         if not free:
-            if cols < best:
-                best = cols.copy()
+            # the cut at the last position passed, so cols <= best
+            best = cols.copy()
             return
         low = min(codes[v] for v in bits(free))
         cols.append(low)

@@ -29,7 +29,9 @@ once into at most ``jobs`` contiguous blocks, each carrying 2^n subsets;
 the reduction (max, then union of maximising graphs) is associative, so
 reports are byte-identical for any worker count.  :func:`_pool_map` scans
 the first block in the caller and each other block in one child
-process, and reaps every child before the sweep returns.
+process, and reaps every child before the sweep returns.  A sweep whose
+work (representatives times 2^n subsets) is below ``_FORK_WORK`` costs
+less than starting a child, so the caller scans all its blocks itself.
 """
 
 from __future__ import annotations
@@ -245,26 +247,31 @@ def _sweep_block(args) -> tuple[list[int], list[list[Edges]], np.ndarray]:
     tied: list[list[tuple[Edges, np.ndarray]]] = [[] for _ in range(n + 1)]
     pair_maxima = np.zeros((n * n, n + 1), dtype=np.int32)
     for chords in block:
-        table = np.array(sorted(_path_candidates(n, chords)), dtype=np.uint32)
+        rows = sorted(_path_candidates(n, chords))
+        table = np.array(rows, dtype=np.uint32)
         # Rows sorted by (length, x, y) form one group per pair and length,
         # whose rows sum to the pair's count; the groups of one length sum
         # to the total.  A length may have no group: a chord cuts the
         # cycle's Hamiltonian path, for one.
-        keys = table[:, :3]
-        starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
-        group_len = keys[starts, 0].astype(np.intp)
-        group_pair = (keys[starts, 1] * n + keys[starts, 2]).astype(np.intp)
-        len_starts = np.flatnonzero(np.r_[True, group_len[1:] != group_len[:-1]])
+        group_at = [i for i in range(len(rows)) if i == 0 or rows[i][:3] != rows[i - 1][:3]]
+        len_at = [i for i in group_at if i == 0 or rows[i][0] != rows[i - 1][0]]
+        group_len = table[group_at, 0].astype(np.intp)
+        group_pair = (table[group_at, 1] * n + table[group_at, 2]).astype(np.intp)
 
         ok = (subsets & table[:, 4, None]) == table[:, 3, None]
-        # int16 holds any count: for n <= SEARCH_CAP = 9 a representative
-        # keeps at most 214 candidates, far below 2^15 (a test re-checks this)
-        counts = np.add.reduceat(ok, starts, axis=0, dtype=np.int16)
+        # prefix[i] counts the induced paths among the first i rows, so a run
+        # of rows sums to the difference of its end rows.  That difference is
+        # exact modulo 2^16, so int16 need only hold the largest one taken:
+        # the rows of one length, at most 49 for n <= SEARCH_CAP = 9 (a group
+        # has at most 15, a representative 214; a test re-checks these).
+        prefix = np.zeros((len(rows) + 1, 1 << n), dtype=np.int16)
+        np.cumsum(ok, axis=0, dtype=np.int16, out=prefix[1:])
+        counts = np.diff(prefix[group_at + [len(rows)]], axis=0)
         pair_maxima[group_pair, group_len] = np.maximum(
             pair_maxima[group_pair, group_len], counts.max(axis=1)
         )
-        totals = np.add.reduceat(counts, len_starts, axis=0, dtype=np.int32)
-        lengths = group_len[len_starts].tolist()
+        totals = np.diff(prefix[len_at + [len(rows)]], axis=0)
+        lengths = [rows[i][0] for i in len_at]
         for m, row, local in zip(lengths, totals, totals.max(axis=1).tolist()):
             if local > best[m]:
                 best[m] = local
@@ -313,6 +320,12 @@ class _Sweep:
 # cache on n alone would hand them one shared result.
 _sweep_cache: dict[tuple[int, int], _Sweep] = {}
 
+# Representatives times 2^n subsets below which the caller scans every block:
+# on a shared 2-core host one child's start, pipe and join cost 4-5 ms, and
+# the sweep at n = 7 (work 2,560) took 11.7 ms in one process against 13.7 ms
+# over two, at n = 8 (work 19,200) 55.9 ms against 42.8 ms.
+_FORK_WORK = 1 << 13
+
 
 def _sweep(n: int, jobs: int) -> _Sweep:
     """The sweep for n, run once per (n, jobs) in a process.
@@ -323,13 +336,20 @@ def _sweep(n: int, jobs: int) -> _Sweep:
     representative of its dissection, with the same counts.  Blocks of
     representatives are scanned independently and reduced by max and
     union, which does not depend on how the list is split; the census is
-    then closed under the 2n maps of the vertex pairs.
+    then closed under the 2n maps of the vertex pairs.  A sweep with less
+    work than ``_FORK_WORK`` scans its blocks one after another in the
+    caller, since a child would cost more than it saves; the blocks and
+    their reduction are the same.
     """
     key = (n, jobs)
     if key in _sweep_cache:
         return _sweep_cache[key]
-    blocks = _chunked([chords for chords, _ in dihedral_orbits(n)], jobs)
-    parts = _pool_map(_sweep_block, [(n, block) for block in blocks])
+    reps = [chords for chords, _ in dihedral_orbits(n)]
+    args = [(n, block) for block in _chunked(reps, jobs)]
+    if len(reps) << n < _FORK_WORK:
+        parts = [_sweep_block(a) for a in args]
+    else:
+        parts = _pool_map(_sweep_block, args)
     best = [max(p[0][m] for p in parts) for m in range(n + 1)]
     classes = []
     for m in range(n + 1):
@@ -372,7 +392,9 @@ def _pool_map(fn, args_list: list) -> list:
     result, or the exception that stopped it, back over a pipe.  An
     exception from any argument is raised here.  Every child is
     terminated and joined before this returns, so its CPU time and memory
-    count among the caller's reaped children.
+    count among the caller's reaped children.  Each child costs a start,
+    a pipe and a join, so :func:`_sweep` calls this only for a sweep with
+    at least ``_FORK_WORK`` work.
     """
     children = []
     try:

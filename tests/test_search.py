@@ -189,13 +189,19 @@ class TestOrbitRepresentatives:
             assert union == set(dissections(n))
 
     def test_candidate_counts_fit_the_sweeps_int16(self):
-        # _sweep_block sums a dissection's induced paths per subset in int16
-        widest = {
-            n: max(len(_path_candidates(n, chords)) for chords, _ in dihedral_orbits(n))
-            for n in range(3, SEARCH_CAP + 1)
-        }
-        assert max(widest.values()) < 2**15
-        assert widest[9] == 214
+        # _sweep_block reads each count as a difference of two int16 prefix
+        # sums over a representative's rows, exact modulo 2^16; the largest
+        # difference it takes is over the rows of one length, which bounds
+        # the dtype.  The widest group and representative are pinned too.
+        group, length, rep = 0, 0, 0
+        for n in range(3, SEARCH_CAP + 1):
+            for chords, _ in dihedral_orbits(n):
+                rows = _path_candidates(n, chords)
+                group = max(group, *Counter(row[:3] for row in rows).values())
+                length = max(length, *Counter(row[0] for row in rows).values())
+                rep = max(rep, len(rows))
+        assert (group, length, rep) == (15, 49, 214)
+        assert length < 2**15
 
     def test_candidate_rows_are_the_induced_paths_of_each_subset(self):
         # the rows that subset S keeps, per (length, start, end), against the
@@ -391,6 +397,61 @@ class TestExtremalValue:
                 extremal_value(6, k, jobs=jobs)
             endpoint_pair_maxima(6, jobs=jobs)
         assert sweeps == [6, 6, 6]
+
+    @staticmethod
+    def _fresh_sweep(monkeypatch, n, jobs):
+        monkeypatch.setattr(search, "_sweep_cache", {})
+        return search._sweep(n, jobs)
+
+    @staticmethod
+    def _assert_same_sweep(a, b):
+        assert a.best == b.best
+        assert a.classes == b.classes
+        assert a.pair_maxima.tolist() == b.pair_maxima.tolist()
+
+    @pytest.mark.parametrize("jobs", [2, 8])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_small_sweeps_scan_every_block_in_the_caller(self, monkeypatch, n, jobs):
+        # the same blocks and reduction as a forked sweep, with no process
+        serial = self._fresh_sweep(monkeypatch, n, 1)
+        blocks = []
+        scan = search._sweep_block
+
+        def counted(args):
+            blocks.append(args)
+            return scan(args)
+
+        def no_process(*args, **kwargs):
+            raise AssertionError("a sweep below _FORK_WORK started a process")
+
+        monkeypatch.setattr(search, "_sweep_block", counted)
+        monkeypatch.setattr(multiprocessing, "Process", no_process)
+        split = self._fresh_sweep(monkeypatch, n, jobs)
+        assert len(blocks) >= 2
+        assert [block for _, block in blocks] == search._chunked(
+            [chords for chords, _ in dihedral_orbits(n)], jobs
+        )
+        self._assert_same_sweep(split, serial)
+
+    @pytest.mark.parametrize(("n", "jobs", "fork_work"), [(6, 2, 0), (6, 8, 0), (8, 2, None)])
+    def test_sweeps_at_or_above_the_fork_work_fork(self, monkeypatch, n, jobs, fork_work):
+        serial = self._fresh_sweep(monkeypatch, n, 1)
+        if fork_work is not None:
+            monkeypatch.setattr(search, "_FORK_WORK", fork_work)
+        started = []
+        process = multiprocessing.Process
+
+        def counted(*args, **kwargs):
+            started.append(1)
+            return process(*args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing, "Process", counted)
+        split = self._fresh_sweep(monkeypatch, n, jobs)
+        # the caller scans the first block and one child each other block
+        blocks = search._chunked(list(dihedral_orbits(n)), jobs)
+        assert len(started) == len(blocks) - 1 >= 1
+        assert multiprocessing.active_children() == []
+        self._assert_same_sweep(split, serial)
 
     def test_class_representatives_give_every_witness(self):
         # canonicalising one graph per rotation/reflection class gives the

@@ -80,6 +80,20 @@ MUTANTS = [
         ["tests/test_search.py"],
     ),
     (
+        "prefix sums written one row early",
+        SEARCH,
+        "out=prefix[1:]",
+        "out=prefix[:-1]",
+        ["tests/test_search.py"],
+    ),
+    (
+        "small sweeps fork and large ones run in the caller",
+        SEARCH,
+        "if len(reps) << n < _FORK_WORK:",
+        "if len(reps) << n >= _FORK_WORK:",
+        ["tests/test_search.py"],
+    ),
+    (
         "dihedral images drop the reflections",
         SEARCH,
         "for sign in (1, -1):",
@@ -101,10 +115,10 @@ MUTANTS = [
         ["tests/test_graph.py"],
     ),
     (
-        "canonical search keeps a worse leaf",
+        "canonical search never stores a leaf",
         GRAPH,
-        "if cols < best:",
-        "if cols > best:",
+        "best = cols.copy()",
+        "cols.copy()",
         ["tests/test_graph.py"],
     ),
     (
