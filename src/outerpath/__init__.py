@@ -53,7 +53,7 @@ from .dual import DualTree, Tree, balanced_edge_cut, weak_dual
 
 __version__ = "1.0.0"
 
-# outerpath.search pulls in numpy and multiprocessing, which only it (and
+# outerpath.search pulls in multiprocessing, which only it (and
 # outerpath.verify, through it) needs, so its names resolve on first use (PEP 562).
 _SEARCH_NAMES = frozenset(
     {

@@ -7,8 +7,8 @@ and ``verify-paper`` (the full check suite).  Output is JSON with a
 stable field order; identical invocations produce byte-identical bytes
 unless ``--timing`` is given.  Exit codes: 0 success / all checks pass,
 1 check failures, 2 usage or input errors.  ``search`` and ``verify``,
-which load numpy and multiprocessing, are imported only by the two
-commands that use them.
+which load multiprocessing, are imported only by the two commands that
+use them.
 """
 
 from __future__ import annotations

@@ -12,17 +12,18 @@ little-Schroeder(n) of them.
 
 Rotating or reflecting the outer cycle changes no count, so one sweep
 per n scans only one dissection D per dihedral orbit (75 of the 903 at
-n = 8), with all 2^n subsets of the cycle edges.  With numpy, every
-subset is matched against every path of D plus the cycle on 2..n
-vertices: a candidate vertex sequence is an induced path of the subset
-graph iff its consecutive pairs are all present and its other pairs
-among D and the cycle are all absent, which is one mask comparison
-against all subsets at once.  The sweep yields the per-length maxima
-with their maximising graphs and the endpoint-pair census, closed under
-the dihedral maps of the vertex pairs; ``extremal_value`` and
-``endpoint_pair_maxima`` read it from a per-process cache.  Maximising
-graphs are canonicalised once per rotation/reflection class of the outer
-cycle.
+n = 8), with all 2^n subsets of the cycle edges.  Every subset is
+matched against every path of D plus the cycle on 2..n vertices: a
+candidate vertex sequence is an induced path of the subset graph iff its
+consecutive pairs are all present and its other pairs among D and the
+cycle are all absent.  Those subsets form a subcube, held as a 2^n-bit
+int with bit S for subset S, and per-subset counts are vertical counters
+of such ints, so one big-int operation acts on all subsets at once.  The
+sweep yields the per-length maxima with their maximising graphs and the
+endpoint-pair census, closed under the dihedral maps of the vertex
+pairs; ``extremal_value`` and ``endpoint_pair_maxima`` read it from a
+per-process cache.  Maximising graphs are canonicalised once per
+rotation/reflection class of the outer cycle.
 
 With ``jobs`` workers, :func:`_sweep` splits the orbit representatives
 once into at most ``jobs`` contiguous blocks, each carrying 2^n subsets;
@@ -39,11 +40,10 @@ from __future__ import annotations
 import multiprocessing
 import random
 import time
+from array import array
 from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .graph import SCHEMA, Graph, UnsupportedSizeError, canonical_form
 
@@ -233,61 +233,103 @@ def _orbit_minima(n: int, edge_sets: Iterable[Edges]) -> Iterator[tuple[Edges, i
             yield min(images), len(images)
 
 
-def _sweep_block(args) -> tuple[list[int], list[list[Edges]], np.ndarray]:
+def _subcubes(n: int) -> Callable[[int, int], int]:
+    """``subcube(req, mask)``: the cycle-edge subsets S with ``S & mask == req``,
+    as a 2^n-bit int with bit S set for each.
+
+    ``bits[i]`` holds the subsets that contain cycle edge i; a subcube is
+    the AND over the bits of ``mask`` of ``bits[i]`` or its complement.
+    It is built by peeling mask's top bit and memoised, so masks that
+    share lower bits share the work.
+    """
+    bits = [sum(1 << s for s in range(1 << n) if s >> i & 1) for i in range(n)]
+    cubes = {(0, 0): (1 << (1 << n)) - 1}
+
+    def subcube(req: int, mask: int) -> int:
+        cube = cubes.get((req, mask))
+        if cube is None:
+            i = mask.bit_length() - 1
+            rest = subcube(req & ~(1 << i), mask ^ 1 << i)
+            cube = cubes[req, mask] = rest & (bits[i] if req >> i & 1 else ~bits[i])
+        return cube
+
+    return subcube
+
+
+def _add(planes: list[int], cube: int) -> None:
+    """Add 1 at every bit of ``cube`` to the vertical counter ``planes``.
+
+    Plane j holds bit j of every subset's count, so a count is read down
+    one bit position of all planes; the carry ripples up until it is empty.
+    """
+    for j, plane in enumerate(planes):
+        planes[j] = plane ^ cube
+        cube &= plane
+        if not cube:
+            return
+    planes.append(cube)
+
+
+def _argmax(planes: list[int], everyone: int) -> tuple[int, int]:
+    """The largest count in ``planes`` over the subsets in ``everyone``, and
+    those that reach it: from the top plane down, keep the subsets with the
+    bit set whenever any of them has it."""
+    best, tied = 0, everyone
+    for j in reversed(range(len(planes))):
+        top = tied & planes[j]
+        if top:
+            best, tied = best | 1 << j, top
+    return best, tied
+
+
+def _sweep_block(args) -> tuple[list[int], list[list[Edges]], list[int]]:
     """Scan every cycle-edge subset over each dissection of a block, for every path length.
 
     Returns, per length m, the most induced m-paths in one graph and the
     edge lists of the graphs that have that many, and the endpoint census
-    ``[x*n+y, m]``: the most induced m-paths between x and y in one graph.
+    as a flat list, ``[(x*n+y)*(n+1) + m]``: the most induced m-paths
+    between x and y in one graph.
     """
     n, block = args
     cycle = _cycle_edges(n)
-    subsets = np.arange(1 << n, dtype=np.uint32)
+    # a row is induced on exactly the subsets of its subcube
+    subcube = _subcubes(n)
+    everyone = subcube(0, 0)
     best = [-1] * (n + 1)
-    tied: list[list[tuple[Edges, np.ndarray]]] = [[] for _ in range(n + 1)]
-    pair_maxima = np.zeros((n * n, n + 1), dtype=np.int32)
+    tied: list[list[tuple[Edges, int]]] = [[] for _ in range(n + 1)]
+    census = [0] * (n * n * (n + 1))
     for chords in block:
-        rows = sorted(_path_candidates(n, chords))
-        table = np.array(rows, dtype=np.uint32)
-        # Rows sorted by (length, x, y) form one group per pair and length,
-        # whose rows sum to the pair's count; the groups of one length sum
-        # to the total.  A length may have no group: a chord cuts the
-        # cycle's Hamiltonian path, for one.
-        group_at = [i for i in range(len(rows)) if i == 0 or rows[i][:3] != rows[i - 1][:3]]
-        len_at = [i for i in group_at if i == 0 or rows[i][0] != rows[i - 1][0]]
-        group_len = table[group_at, 0].astype(np.intp)
-        group_pair = (table[group_at, 1] * n + table[group_at, 2]).astype(np.intp)
-
-        ok = (subsets & table[:, 4, None]) == table[:, 3, None]
-        # prefix[i] counts the induced paths among the first i rows, so a run
-        # of rows sums to the difference of its end rows.  That difference is
-        # exact modulo 2^16, so int16 need only hold the largest one taken:
-        # the rows of one length, at most 49 for n <= SEARCH_CAP = 9 (a group
-        # has at most 15, a representative 214; a test re-checks these).
-        prefix = np.zeros((len(rows) + 1, 1 << n), dtype=np.int16)
-        np.cumsum(ok, axis=0, dtype=np.int16, out=prefix[1:])
-        counts = np.diff(prefix[group_at + [len(rows)]], axis=0)
-        pair_maxima[group_pair, group_len] = np.maximum(
-            pair_maxima[group_pair, group_len], counts.max(axis=1)
-        )
-        totals = np.diff(prefix[len_at + [len(rows)]], axis=0)
-        lengths = [rows[i][0] for i in len_at]
-        for m, row, local in zip(lengths, totals, totals.max(axis=1).tolist()):
+        # totals holds only the lengths that have a row; a length may have
+        # none: a chord cuts the cycle's Hamiltonian path, for one
+        groups: dict[tuple[int, int, int], list[int]] = {}
+        totals: dict[int, list[int]] = {}
+        for length, x, y, req, mask in _path_candidates(n, chords):
+            cube = subcube(req, mask)
+            _add(groups.setdefault((length, x, y), []), cube)
+            _add(totals.setdefault(length, []), cube)
+        for (length, x, y), planes in groups.items():
+            # a one-plane counter has count 1 on some subset
+            local = 1 if len(planes) == 1 else _argmax(planes, everyone)[0]
+            at = (x * n + y) * (n + 1) + length
+            census[at] = max(census[at], local)
+        for m, planes in totals.items():
+            local, sids = _argmax(planes, everyone)
             if local > best[m]:
                 best[m] = local
                 tied[m] = []
             if local == best[m]:
-                tied[m].append((chords, np.flatnonzero(row == local)))
+                tied[m].append((chords, sids))
 
     witnesses = [
         [
             chords + tuple(e for i, e in enumerate(cycle) if sid >> i & 1)
             for chords, sids in tied[m]
-            for sid in sids.tolist()
+            for sid in range(1 << n)
+            if sids >> sid & 1
         ]
         for m in range(n + 1)
     ]
-    return best, witnesses, pair_maxima
+    return best, witnesses, census
 
 
 def _dihedral_images(
@@ -312,7 +354,7 @@ class _Sweep:
 
     best: tuple[int, ...]
     classes: tuple[tuple[Graph, ...], ...]
-    pair_maxima: np.ndarray
+    pair_maxima: memoryview
 
 
 # Keyed on the worker count as well as n: check_parallel_determinism and the
@@ -322,8 +364,8 @@ _sweep_cache: dict[tuple[int, int], _Sweep] = {}
 
 # Representatives times 2^n subsets below which the caller scans every block:
 # on a shared 2-core host one child's start, pipe and join cost 4-5 ms, and
-# the sweep at n = 7 (work 2,560) took 11.7 ms in one process against 13.7 ms
-# over two, at n = 8 (work 19,200) 55.9 ms against 42.8 ms.
+# the sweep at n = 7 (work 2,560) took 9.2 ms in one process against 12.1 ms
+# over two, at n = 8 (work 19,200) 42.1 ms against 33.9 ms (medians of 9).
 _FORK_WORK = 1 << 13
 
 
@@ -355,14 +397,20 @@ def _sweep(n: int, jobs: int) -> _Sweep:
     for m in range(n + 1):
         tied = (tuple(sorted(edges)) for p in parts if p[0][m] == best[m] for edges in p[1][m])
         classes.append(tuple(Graph(n, rep) for rep, _ in sorted(_orbit_minima(n, tied))))
-    pair_maxima = parts[0][2]
-    for p in parts[1:]:
-        np.maximum(pair_maxima, p[2], out=pair_maxima)
+    # the census, reduced by max and closed under the 2n maps of the vertex
+    # pairs; a pair's images form its orbit, so updating in place gives
+    # each member the orbit's maximum
+    census = [max(counts) for counts in zip(*(p[2] for p in parts))]
+    rows = [census[i : i + n + 1] for i in range(0, len(census), n + 1)]
     pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
-    images = np.array([[x * n + y for x, y in image] for image in _dihedral_images(n, pairs)])
-    # the first map is the identity
-    pair_maxima[images[0]] = pair_maxima[images].max(axis=0)
-    pair_maxima.flags.writeable = False
+    images = list(_dihedral_images(n, pairs))
+    for i, (x, y) in enumerate(pairs):
+        orbit = [rows[u * n + v] for u, v in (image[i] for image in images)]
+        rows[x * n + y] = [max(counts) for counts in zip(*orbit)]
+    # a view of immutable bytes refuses writes; unlike the sweep's lists, a
+    # memoryview does not pickle, so it is built here in the caller
+    flat = array("i", [c for row in rows for c in row])
+    pair_maxima = memoryview(flat.tobytes()).cast("i", (n * n, n + 1))
     _sweep_cache[key] = _Sweep(tuple(best), tuple(classes), pair_maxima)
     return _sweep_cache[key]
 
@@ -445,11 +493,12 @@ def extremal_value(n: int, k: int, jobs: int = 1) -> SearchReport:
     )
 
 
-def endpoint_pair_maxima(n: int, jobs: int = 1) -> np.ndarray:
+def endpoint_pair_maxima(n: int, jobs: int = 1) -> memoryview:
     """max over all outerplanar graphs and pairs x<y of the induced m-path
     count between x and y, indexed [x*n+y, m] for m <= n.
 
-    The array is shared with later calls and is read-only.
+    The census is a 2-D memoryview of C ints, shared with later calls and
+    read-only; ``.tolist()`` gives its rows as lists.
     """
     if not 3 <= n <= SEARCH_CAP:
         raise UnsupportedSizeError(f"endpoint census supports 3 <= n <= {SEARCH_CAP}")

@@ -208,10 +208,10 @@ def check_endpoint_bound(jobs: int):
     observed: dict = {}
     ok = True
     for n in range(3, 9):
-        maxima = endpoint_pair_maxima(n, jobs=jobs)
+        rows = endpoint_pair_maxima(n, jobs=jobs).tolist()
         per_len = {}
         for m in range(2, n + 1):
-            worst = int(maxima[:, m].max())
+            worst = max(row[m] for row in rows)
             per_len[str(m)] = worst
             if worst > fib(m):
                 ok = False

@@ -1,6 +1,6 @@
-"""Import contract: only ``search`` and ``verify-paper`` load numpy, no
-module imports a name it never uses, and every name the benchmark's span
-tracer wraps resolves.
+"""Import contract: no outerpath module loads numpy, only ``search`` and
+``verify-paper`` load the search stack, no module imports a name it never
+uses, and every name the benchmark's span tracer wraps resolves.
 
 Each load check runs in a fresh interpreter, since this test process has
 long since imported the search stack.
@@ -17,7 +17,9 @@ import pytest
 
 import outerpath
 
-# Modules that only outerpath.search (and outerpath.verify, through it) need.
+# Modules the light commands must not load: numpy, which no outerpath module
+# loads, and those that only outerpath.search (and outerpath.verify, through
+# it) need.
 HEAVY = ("numpy", "multiprocessing", "outerpath.search", "outerpath.verify")
 
 REPORT_LOADED = f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))"
@@ -55,6 +57,21 @@ def test_light_commands_leave_search_stack_unloaded(argv):
         f"{REPORT_LOADED}"
     )
     assert json.loads(run_fresh(code)) == []
+
+
+def test_sweep_and_endpoint_check_load_no_numpy():
+    # every sweep the package runs, and the check that reads the census
+    code = (
+        "import json, sys\n"
+        "from outerpath import search\n"
+        "from outerpath.verify import run_verify\n"
+        "for n in range(3, 10):\n"
+        "    search._sweep(n, 1)\n"
+        "report = run_verify(only='endpoint')\n"
+        "assert [c.name for c in report.checks] == ['endpoint-path-bound'] and report.all_passed\n"
+        "print(json.dumps('numpy' in sys.modules))\n"
+    )
+    assert json.loads(run_fresh(code)) is False
 
 
 def test_search_names_resolve_on_first_use():

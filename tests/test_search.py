@@ -10,7 +10,6 @@ from math import comb
 from pathlib import Path
 
 import networkx as nx
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,7 +33,16 @@ from outerpath import (
     to_graph6,
     triangulation_chord_sets,
 )
-from outerpath.search import SEARCH_CAP, _chunked, _path_candidates, _pool_map, dihedral_orbits, dissections
+from outerpath.search import (
+    _add,
+    _argmax,
+    _chunked,
+    _path_candidates,
+    _pool_map,
+    _subcubes,
+    dihedral_orbits,
+    dissections,
+)
 
 from helpers import brute_count_induced_paths, enumerate_outerplanar
 
@@ -142,15 +150,13 @@ def dihedral_maps(n):
 def noncrossing_diagonal_sets(n):
     """Every subset of the n-gon's diagonals with no crossing pair, as a sorted tuple."""
     diagonals = [(i, j) for i in range(n) for j in range(i + 2, n) if (i, j) != (0, n - 1)]
-    masks = np.arange(1 << len(diagonals), dtype=np.uint32)
-    crossing = np.zeros(len(masks), dtype=bool)
+    # a set with diagonal i has no crossing pair iff the set without i has
+    # none and no member crosses i
+    masks = [0]
     for i, d in enumerate(diagonals):
         crossed = sum(1 << j for j, e in enumerate(diagonals) if crosses(d, e))
-        crossing |= (masks >> i & 1 == 1) & (masks & crossed != 0)
-    return [
-        tuple(d for i, d in enumerate(diagonals) if mask >> i & 1)
-        for mask in np.flatnonzero(~crossing).tolist()
-    ]
+        masks += [mask | 1 << i for mask in masks if not mask & crossed]
+    return [tuple(d for i, d in enumerate(diagonals) if mask >> i & 1) for mask in masks]
 
 
 class TestDissections:
@@ -188,21 +194,6 @@ class TestOrbitRepresentatives:
             assert len(union) == n_dissections
             assert union == set(dissections(n))
 
-    def test_candidate_counts_fit_the_sweeps_int16(self):
-        # _sweep_block reads each count as a difference of two int16 prefix
-        # sums over a representative's rows, exact modulo 2^16; the largest
-        # difference it takes is over the rows of one length, which bounds
-        # the dtype.  The widest group and representative are pinned too.
-        group, length, rep = 0, 0, 0
-        for n in range(3, SEARCH_CAP + 1):
-            for chords, _ in dihedral_orbits(n):
-                rows = _path_candidates(n, chords)
-                group = max(group, *Counter(row[:3] for row in rows).values())
-                length = max(length, *Counter(row[0] for row in rows).values())
-                rep = max(rep, len(rows))
-        assert (group, length, rep) == (15, 49, 214)
-        assert length < 2**15
-
     def test_candidate_rows_are_the_induced_paths_of_each_subset(self):
         # the rows that subset S keeps, per (length, start, end), against the
         # lister's induced paths of the cycle edges in S plus the chords
@@ -223,11 +214,51 @@ class TestOrbitRepresentatives:
 
     def test_census_is_dihedrally_symmetric(self):
         for n in range(3, 9):
-            census = endpoint_pair_maxima(n)
+            rows = endpoint_pair_maxima(n).tolist()
             for p in dihedral_maps(n):
                 for x, y in combinations(range(n), 2):
                     a, b = sorted((p[x], p[y]))
-                    assert census[a * n + b].tolist() == census[x * n + y].tolist()
+                    assert rows[a * n + b] == rows[x * n + y]
+
+
+class TestBitsetKernel:
+    """The sweep's kernel: bit S of a 2^n-bit int stands for cycle-edge subset S."""
+
+    def test_subcubes_equal_a_direct_filter(self):
+        # every candidate row of every representative, against a scan of all
+        # 2^n subsets; the memo serves rows of later representatives too
+        rows = 0
+        for n in range(3, 8):
+            subcube = _subcubes(n)
+            assert subcube(0, 0) == (1 << (1 << n)) - 1
+            for chords, _ in dihedral_orbits(n):
+                for _, _, _, req, mask in _path_candidates(n, chords):
+                    assert subcube(req, mask) == sum(1 << s for s in range(1 << n) if s & mask == req)
+                    rows += 1
+        assert rows == 1536
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(0, 5).flatmap(
+            lambda n: st.tuples(st.just(n), st.lists(st.integers(1, (1 << (1 << n)) - 1), max_size=40))
+        )
+    )
+    def test_counter_add_and_argmax_equal_sum_and_max(self, case):
+        # a multiset of non-empty subset sets, as the kernel adds subcubes
+        n, cubes = case
+        everyone = (1 << (1 << n)) - 1
+        planes: list[int] = []
+        for cube in cubes:
+            _add(planes, cube)
+        counts = [sum(cube >> s & 1 for cube in cubes) for s in range(1 << n)]
+        read = [sum((plane >> s & 1) << j for j, plane in enumerate(planes)) for s in range(1 << n)]
+        assert read == counts
+        best = max(counts)
+        # as many planes as the largest count has bits, so a one-plane
+        # counter has maximum 1
+        assert len(planes) == best.bit_length()
+        tied = sum(1 << s for s, c in enumerate(counts) if c == best)
+        assert _argmax(planes, everyone) == (best, tied)
 
 
 class TestAtlasCoverage:
@@ -465,7 +496,7 @@ class TestExtremalValue:
                 report = extremal_value(n, k)
                 assert report.max_copies == best[k]
                 assert report.witnesses == tuple(sorted(every))
-            assert census.tolist() == endpoint_pair_maxima(n).tolist()
+            assert census == [c for row in endpoint_pair_maxima(n).tolist() for c in row]
 
     def test_n9_values(self):
         # equal to a sweep over every dissection rather than one per orbit,
@@ -487,8 +518,8 @@ class TestExtremalValue:
         for m, strings in witnesses.items():
             for w in strings:
                 assert brute_count_induced_paths(from_graph6(w), m) == best[m]
-        census = endpoint_pair_maxima(9)
-        assert [int(census[:, m].max()) for m in range(2, 10)] == [1, 2, 3, 5, 6, 4, 2, 1]
+        rows = endpoint_pair_maxima(9).tolist()
+        assert [max(row[m] for row in rows) for m in range(2, 10)] == [1, 2, 3, 5, 6, 4, 2, 1]
 
     def test_matches_recorded_reference(self):
         ref = json.loads(SEARCH_REFERENCE.read_text())
@@ -510,12 +541,12 @@ class TestEndpointCensus:
                     for y in range(x + 1, n):
                         for m in range(2, n + 1):
                             c = count_induced_paths_between(g, x, y, m)
-                            assert c <= int(maxima[n][x * n + y, m])
+                            assert c <= maxima[n][x * n + y, m]
 
     def test_census_maximum_is_achieved(self):
         # some graph and pair attains the recorded maximum for each length
         n = 5
-        maxima = endpoint_pair_maxima(n)
+        rows = endpoint_pair_maxima(n).tolist()
         best = {m: 0 for m in range(2, n + 1)}
         for g in enumerate_outerplanar(n):
             for x in range(n):
@@ -525,20 +556,21 @@ class TestEndpointCensus:
                         if c > best[m]:
                             best[m] = c
         for m in range(2, n + 1):
-            assert best[m] == int(maxima[:, m].max())
+            assert best[m] == max(row[m] for row in rows)
 
     def test_census_is_read_only(self):
         maxima = endpoint_pair_maxima(5)
-        before = int(maxima[2, 3])
-        with pytest.raises(ValueError):
+        assert (maxima.format, maxima.shape, maxima.readonly) == ("i", (25, 6), True)
+        before = maxima[2, 3]
+        with pytest.raises(TypeError):
             maxima[2, 3] = 99
-        assert int(endpoint_pair_maxima(5)[2, 3]) == before
+        assert endpoint_pair_maxima(5)[2, 3] == before
 
     def test_pair_counts_stay_under_fib(self):
         for n in range(3, 9):
-            maxima = endpoint_pair_maxima(n)
+            rows = endpoint_pair_maxima(n).tolist()
             for m in range(2, n + 1):
-                assert int(maxima[:, m].max()) <= fib(m)
+                assert max(row[m] for row in rows) <= fib(m)
 
 
 @st.composite
@@ -564,7 +596,7 @@ class TestSweepDominatesEveryGraph:
         for m in range(2, n + 1):
             assert count_induced_paths(g, m).copies <= extremal_value(n, m).max_copies
             for x, y in combinations(range(n), 2):
-                assert count_induced_paths_between(g, x, y, m) <= int(census[x * n + y, m])
+                assert count_induced_paths_between(g, x, y, m) <= census[x * n + y, m]
 
 
 class TestBruteForceAgreement:

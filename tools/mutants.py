@@ -80,10 +80,24 @@ MUTANTS = [
         ["tests/test_search.py"],
     ),
     (
-        "prefix sums written one row early",
+        "counter carry stops one plane early",
         SEARCH,
-        "out=prefix[1:]",
-        "out=prefix[:-1]",
+        "for j, plane in enumerate(planes):",
+        "for j, plane in enumerate(planes[:-1]):",
+        ["tests/test_search.py"],
+    ),
+    (
+        "argmax walks the planes bottom-up",
+        SEARCH,
+        "for j in reversed(range(len(planes))):",
+        "for j in range(len(planes)):",
+        ["tests/test_search.py"],
+    ),
+    (
+        "subcube drops the complement",
+        SEARCH,
+        "bits[i] if req >> i & 1 else ~bits[i]",
+        "bits[i] if req >> i & 1 else bits[i]",
         ["tests/test_search.py"],
     ),
     (
