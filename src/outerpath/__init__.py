@@ -53,8 +53,10 @@ from .dual import DualTree, Tree, balanced_edge_cut, weak_dual
 
 __version__ = "1.0.0"
 
-# outerpath.search pulls in multiprocessing, which only it (and
-# outerpath.verify, through it) needs, so its names resolve on first use (PEP 562).
+# The search names resolve on first use (PEP 562), so `import outerpath`
+# leaves outerpath.search (about 2 ms to load from bytecode on a shared
+# 2-core host) to the code that reads them.  The hook goes once setup_s
+# shows that loading search eagerly costs nothing on any workload.
 _SEARCH_NAMES = frozenset(
     {
         "SearchReport",

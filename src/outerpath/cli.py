@@ -6,9 +6,8 @@ string or named construction), ``search`` (exhaustive extremal search),
 and ``verify-paper`` (the full check suite).  Output is JSON with a
 stable field order; identical invocations produce byte-identical bytes
 unless ``--timing`` is given.  Exit codes: 0 success / all checks pass,
-1 check failures, 2 usage or input errors.  ``search`` and ``verify``,
-which load multiprocessing, are imported only by the two commands that
-use them.
+1 check failures, 2 usage or input errors.  ``search`` and ``verify``
+are imported only by the two commands that use them.
 """
 
 from __future__ import annotations

@@ -275,14 +275,17 @@ def canonical_form(g: Graph) -> str:
 def _brute_form(g: Graph) -> str:
     """:func:`canonical_form` by branch-and-bound over vertex placements.
 
-    ``codes[w]`` is w's adjacency to the placed positions, the first
-    position as the most significant bit, so the column a placement adds is
-    its vertex's code.  The search is exact: the least column sequence
-    places a least-coded free vertex at every position, since a larger code
-    makes a larger column there, and a node is cut once its columns exceed
-    the best sequence's prefix.  Swapping two twins (equal neighborhoods
-    apart from each other) is an automorphism, so of the free twins only the
-    lowest is tried.
+    A node at depth d holds the free vertices as ``(vertex, code)`` pairs,
+    where a code is the vertex's adjacency to the d placed positions, the
+    first position as the most significant bit, so the column a placement
+    adds is its vertex's code.  The search is exact: the least column
+    sequence places a least-coded free vertex at every position, since a
+    larger code makes a larger column there, and a node is cut once its
+    columns exceed the best sequence's prefix.  ``tight`` means the columns
+    so far equal the best's prefix, so only then can column d exceed it;
+    a leaf that stores a new best makes every node on its path tight.
+    Swapping two twins (equal neighborhoods apart from each other) is an
+    automorphism, so of the free twins only the lowest is tried.
     """
     from .graph6 import to_graph6
 
@@ -294,23 +297,30 @@ def _brute_form(g: Graph) -> str:
             if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
                 lower_twins[v] |= 1 << u
     best = [1 << n] * n
-    cols: list[int] = []
+    cols = [0] * n
 
-    def place(free: int, codes: list[int]) -> None:
+    def place(d: int, free: int, pairs: list[tuple[int, int]], tight: bool) -> bool:
+        """Search below depth d; True when a leaf below stored a new best."""
         nonlocal best
-        if not free:
-            # the cut at the last position passed, so cols <= best
+        if not pairs:
+            # every cut on the way passed, so cols <= best
             best = cols.copy()
-            return
-        low = min(codes[v] for v in bits(free))
-        cols.append(low)
-        if cols <= best[: len(cols)]:
-            for v in bits(free):
-                if codes[v] == low and not lower_twins[v] & free:
-                    place(free ^ 1 << v, [c << 1 | (adj[w] >> v & 1) for w, c in enumerate(codes)])
-        cols.pop()
+            return True
+        low = min(c for _, c in pairs)
+        if tight and low > best[d]:
+            return False
+        cols[d] = low
+        tight = tight and low == best[d]
+        stored = False
+        for v, c in pairs:
+            if c == low and not lower_twins[v] & free:
+                row = adj[v]
+                below = [(w, code << 1 | row >> w & 1) for w, code in pairs if w != v]
+                if place(d + 1, free ^ 1 << v, below, tight):
+                    tight = stored = True
+        return stored
 
-    place(g.full_mask, [0] * n)
+    place(0, g.full_mask, [(v, 0) for v in range(n)], True)
     rows = [0] * n
     for m in range(1, n):
         for i in range(m):

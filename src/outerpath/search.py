@@ -31,13 +31,13 @@ the reduction (max, then union of maximising graphs) is associative, so
 reports are byte-identical for any worker count.  :func:`_pool_map` scans
 the first block in the caller and each other block in one child
 process, and reaps every child before the sweep returns.  A sweep whose
-work (representatives times 2^n subsets) is below ``_FORK_WORK`` costs
-less than starting a child, so the caller scans all its blocks itself.
+work (representatives times 2^n subsets) is below ``_FORK_WORK``, which
+is every sweep with n <= 8, costs less than starting a child, so the
+caller scans all its blocks itself and never imports multiprocessing.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import random
 import time
 from array import array
@@ -362,11 +362,14 @@ class _Sweep:
 # cache on n alone would hand them one shared result.
 _sweep_cache: dict[tuple[int, int], _Sweep] = {}
 
-# Representatives times 2^n subsets below which the caller scans every block:
-# on a shared 2-core host one child's start, pipe and join cost 4-5 ms, and
-# the sweep at n = 7 (work 2,560) took 9.2 ms in one process against 12.1 ms
-# over two, at n = 8 (work 19,200) 42.1 ms against 33.9 ms (medians of 9).
-_FORK_WORK = 1 << 13
+# Representatives times 2^n subsets below which the caller scans every block.
+# A fork pays the multiprocessing import and one child's start, pipe and
+# join.  On a shared 2-core host, in fresh interpreters (medians of 9; CPU
+# time includes the reaped child), the sweep at n = 8 (work 19,200) took
+# 22.9 ms wall and 22.9 ms CPU in one process against 30.7 ms wall and
+# 41.8 ms CPU over two; at n = 9 (work 134,144) 103.9 ms wall and 103.9 ms
+# CPU against 94.0 ms wall and 143.6 ms CPU.
+_FORK_WORK = 1 << 16
 
 
 def _sweep(n: int, jobs: int) -> _Sweep:
@@ -441,9 +444,14 @@ def _pool_map(fn, args_list: list) -> list:
     exception from any argument is raised here.  Every child is
     terminated and joined before this returns, so its CPU time and memory
     count among the caller's reaped children.  Each child costs a start,
-    a pipe and a join, so :func:`_sweep` calls this only for a sweep with
-    at least ``_FORK_WORK`` work.
+    a pipe and a join, and the first call that starts one imports
+    multiprocessing, so :func:`_sweep` calls this only for a sweep with at
+    least ``_FORK_WORK`` work.
     """
+    if len(args_list) < 2:
+        return [fn(a) for a in args_list]
+    import multiprocessing
+
     children = []
     try:
         for arg in args_list[1:]:

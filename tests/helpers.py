@@ -5,7 +5,9 @@ enumeration) and shares no code with the library paths it checks, except
 :func:`enumerate_outerplanar` and :func:`two_connected_corpus`: these two
 list graphs over ``outerpath.search.dissections``, which
 ``tests/test_search.py`` checks against a brute-force filter of the
-diagonal subsets.
+diagonal subsets; and :func:`reference_brute_form`, the earlier form of
+the canonical-form search, which writes its result with
+``outerpath.to_graph6`` as the search it checks does.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations
 
-from outerpath import Graph, OuterEmbedding
+from outerpath import Graph, OuterEmbedding, bits, to_graph6
 from outerpath.search import dissections
 
 
@@ -296,3 +298,42 @@ def random_forest(n: int, rng: random.Random) -> Graph:
     perm = list(range(n))
     rng.shuffle(perm)
     return relabel(Graph(n, edges), perm)
+
+
+def reference_brute_form(g: Graph) -> str:
+    """graph6 of the canonical relabeling, by the branch-and-bound that
+    ``outerpath.graph._brute_form`` ran before its node carried only the
+    free vertices' codes and a ``tight`` flag: the same search, with every
+    vertex's code rebuilt at each node and the prefix cut as a slice compare."""
+    n = g.n
+    adj = g.adj
+    lower_twins = [0] * n
+    for v in range(n):
+        for u in range(v):
+            if adj[u] & ~(1 << v) == adj[v] & ~(1 << u):
+                lower_twins[v] |= 1 << u
+    best = [1 << n] * n
+    cols: list[int] = []
+
+    def place(free: int, codes: list[int]) -> None:
+        nonlocal best
+        if not free:
+            # the cut at the last position passed, so cols <= best
+            best = cols.copy()
+            return
+        low = min(codes[v] for v in bits(free))
+        cols.append(low)
+        if cols <= best[: len(cols)]:
+            for v in bits(free):
+                if codes[v] == low and not lower_twins[v] & free:
+                    place(free ^ 1 << v, [c << 1 | (adj[w] >> v & 1) for w, c in enumerate(codes)])
+        cols.pop()
+
+    place(g.full_mask, [0] * n)
+    rows = [0] * n
+    for m in range(1, n):
+        for i in range(m):
+            if best[m] >> (m - 1 - i) & 1:
+                rows[i] |= 1 << m
+                rows[m] |= 1 << i
+    return to_graph6(Graph._from_rows(tuple(rows)))

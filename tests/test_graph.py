@@ -22,6 +22,7 @@ from helpers import (
     brute_is_two_connected,
     random_forest,
     random_graph,
+    reference_brute_form,
     relabel,
 )
 
@@ -187,6 +188,15 @@ class TestCanonicalForm:
             rng.shuffle(perm)
             expected = brute_canonical_graph6(g)
             assert canonical_form(g) == canonical_form(relabel(g, perm)) == expected
+
+    def test_branch_and_bound_matches_the_reference_node(self):
+        # the search node against its earlier form, kept in helpers: random
+        # graphs from sparse to dense on 1..9 vertices, then outerplanar ones
+        rng = random.Random(2718)
+        graphs = [random_graph(rng.randint(1, 9), rng.uniform(0.1, 0.9), rng) for _ in range(2000)]
+        graphs += [search.random_outerplanar(rng.randint(3, 9), rng) for _ in range(1000)]
+        for g in graphs:
+            assert graph._brute_form(g) == reference_brute_form(g)
 
     def test_sweep_witnesses_match_a_scan_of_all_permutations(self):
         witnesses = {

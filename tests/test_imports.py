@@ -1,6 +1,7 @@
 """Import contract: no outerpath module loads numpy, only ``search`` and
-``verify-paper`` load the search stack, no module imports a name it never
-uses, and every name the benchmark's span tracer wraps resolves.
+``verify-paper`` load the search stack, only a sweep that starts a child
+loads multiprocessing, no module imports a name it never uses, and every
+name the benchmark's span tracer wraps resolves.
 
 Each load check runs in a fresh interpreter, since this test process has
 long since imported the search stack.
@@ -70,6 +71,20 @@ def test_sweep_and_endpoint_check_load_no_numpy():
         "report = run_verify(only='endpoint')\n"
         "assert [c.name for c in report.checks] == ['endpoint-path-bound'] and report.all_passed\n"
         "print(json.dumps('numpy' in sys.modules))\n"
+    )
+    assert json.loads(run_fresh(code)) is False
+
+
+def test_sweeps_that_fork_no_child_load_no_multiprocessing():
+    # every sweep below _FORK_WORK runs in the caller at any worker count,
+    # and a one-block sweep starts no child at any size
+    code = (
+        "import json, sys\n"
+        "from outerpath import extremal_value, search\n"
+        "search._sweep(8, 2)\n"
+        "assert extremal_value(8, 3, jobs=2).max_copies == 21\n"
+        "search._sweep(9, 1)\n"
+        "print(json.dumps('multiprocessing' in sys.modules))\n"
     )
     assert json.loads(run_fresh(code)) is False
 

@@ -441,7 +441,7 @@ class TestExtremalValue:
         assert a.pair_maxima.tolist() == b.pair_maxima.tolist()
 
     @pytest.mark.parametrize("jobs", [2, 8])
-    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_small_sweeps_scan_every_block_in_the_caller(self, monkeypatch, n, jobs):
         # the same blocks and reduction as a forked sweep, with no process
         serial = self._fresh_sweep(monkeypatch, n, 1)
@@ -464,7 +464,7 @@ class TestExtremalValue:
         )
         self._assert_same_sweep(split, serial)
 
-    @pytest.mark.parametrize(("n", "jobs", "fork_work"), [(6, 2, 0), (6, 8, 0), (8, 2, None)])
+    @pytest.mark.parametrize(("n", "jobs", "fork_work"), [(6, 2, 0), (6, 8, 0), (9, 2, None)])
     def test_sweeps_at_or_above_the_fork_work_fork(self, monkeypatch, n, jobs, fork_work):
         serial = self._fresh_sweep(monkeypatch, n, 1)
         if fork_work is not None:
@@ -500,7 +500,9 @@ class TestExtremalValue:
 
     def test_n9_values(self):
         # equal to a sweep over every dissection rather than one per orbit,
-        # run once at n = 9
+        # run once at n = 9; the maxima come first, before any witness is
+        # canonicalised, so a broken kernel fails here in under a second
+        assert search._sweep(9, 1).best[2:] == (15, 28, 22, 18, 13, 10, 9, 1)
         best = {m: extremal_value(9, m).max_copies for m in range(2, 10)}
         assert best == {2: 15, 3: 28, 4: 22, 5: 18, 6: 13, 7: 10, 8: 9, 9: 1}
         assert best[3] == comb(8, 2)

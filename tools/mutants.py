@@ -117,8 +117,8 @@ MUTANTS = [
     (
         "canonical search cuts a prefix equal to the best",
         GRAPH,
-        "if cols <= best[: len(cols)]:",
-        "if cols < best[: len(cols)]:",
+        "if tight and low > best[d]:",
+        "if tight and low >= best[d]:",
         ["tests/test_graph.py"],
     ),
     (
@@ -133,6 +133,13 @@ MUTANTS = [
         GRAPH,
         "best = cols.copy()",
         "cols.copy()",
+        ["tests/test_graph.py"],
+    ),
+    (
+        "canonical search keeps a stale tight flag after a leaf",
+        GRAPH,
+        "tight = stored = True",
+        "stored = True",
         ["tests/test_graph.py"],
     ),
     (
