@@ -17,8 +17,9 @@ MAX_VERTICES = 64
 # Format tag on every JSON payload the toolkit writes.
 SCHEMA = "outerpath/1"
 
-# Full permutation scan only stays tractable up to here; larger searches
-# never deduplicate by isomorphism.
+# The canonical form is a branch-and-bound over relabelings, exponential
+# in n at worst, and is offered up to here; larger searches never
+# deduplicate by isomorphism.
 CANONICAL_CAP = 9
 
 # A vertex set is a plain bitmask over vertex indices.

@@ -17,13 +17,15 @@ matched against every path of D plus the cycle on 2..n vertices: a
 candidate vertex sequence is an induced path of the subset graph iff its
 consecutive pairs are all present and its other pairs among D and the
 cycle are all absent.  Those subsets form a subcube, held as a 2^n-bit
-int with bit S for subset S, and per-subset counts are vertical counters
-of such ints, so one big-int operation acts on all subsets at once.  The
-sweep yields the per-length maxima with their maximising graphs and the
-endpoint-pair census, closed under the dihedral maps of the vertex
-pairs; ``extremal_value`` and ``endpoint_pair_maxima`` read it from a
-per-process cache.  Maximising graphs are canonicalised once per
-rotation/reflection class of the outer cycle.
+int with bit S for subset S, which the path walk narrows as each vertex
+joins, and per-subset counts are vertical counters of such ints, so one
+big-int operation acts on all subsets at once.  The sweep yields the
+per-length maxima with their maximising graphs and the endpoint-pair
+census, kept per distance of the pair around the cycle, which the
+rotations and reflections preserve; ``extremal_value`` and
+``endpoint_pair_maxima`` read it from a per-process cache.  Maximising
+graphs are canonicalised once per rotation/reflection class of the
+outer cycle.
 
 With ``jobs`` workers, :func:`_sweep` splits the orbit representatives
 once into at most ``jobs`` contiguous blocks, each carrying 2^n subsets;
@@ -43,7 +45,7 @@ import time
 from array import array
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .graph import SCHEMA, Graph, UnsupportedSizeError, canonical_form
 
@@ -132,47 +134,55 @@ def random_outerplanar(n: int, rng: random.Random) -> Graph:
 # -- sweep over one dissection per dihedral orbit ------------------------------
 
 
-def _path_candidates(n: int, chords: Edges) -> list[tuple[int, int, int, int, int]]:
+def _path_cubes(
+    n: int, chords: Edges, bits: list[int], everyone: int
+) -> list[tuple[int, int, int, int]]:
     """Self-avoiding paths on 2 or more vertices of the cycle 0..n-1 plus
-    ``chords``, as (length, start, end, req, mask) over the cycle edges.
+    ``chords``, as (length, start, end, cube): bit S of ``cube`` is set iff
+    the path is induced with every chord and the cycle edges of subset S.
 
-    Cycle edge i of :func:`_cycle_edges` joins i and i+1 (mod n) and has
-    bit i.  With every chord present and the cycle edges of subset S, a
-    path is induced iff ``S & mask == req``: ``req`` holds the bits of its
-    consecutive pairs and ``mask`` every cycle edge inside the path.  A
-    path with a chord between non-consecutive vertices is never induced,
-    nor is any extension of it; neither is produced.  Paths are produced
-    once each (start < end).
+    Cycle edge i of :func:`_cycle_edges` joins i and i+1 (mod n); ``bits[i]``
+    holds the subsets that contain it and ``everyone`` all 2^n subsets.
+    When w joins the path after u, each cycle edge from w to a path vertex
+    narrows the cube: to the subsets that hold it if it joins w to u, else
+    to those without it.  A path with a chord between non-consecutive
+    vertices is never induced, nor is any extension of it; neither is
+    produced.  Paths are produced once each (start < end).
     """
     chord_adj = [0] * n
     for u, v in chords:
         chord_adj[u] |= 1 << v
         chord_adj[v] |= 1 << u
-    adj = [row | 1 << (v + 1) % n | 1 << (v - 1) % n for v, row in enumerate(chord_adj)]
-    # the two cycle edges at v; the cycle edge uw is cycle_at[u] & cycle_at[w]
-    cycle_at = [1 << v | 1 << (v - 1) % n for v in range(n)]
-    out: list[tuple[int, int, int, int, int]] = []
+    # per vertex w: the bit of w+1 and the subsets with and without edge w,
+    # then the same for w-1 and edge w-1
+    edge = [(b, everyone ^ b) for b in bits]
+    ring = [(1 << (w + 1) % n, *edge[w], 1 << (w - 1) % n, *edge[w - 1]) for w in range(n)]
+    adj = [row | r[0] | r[3] for row, r in zip(chord_adj, ring)]
+    out: list[tuple[int, int, int, int]] = []
 
-    def extend(start: int, u: int, length: int, pmask: int, req: int) -> None:
+    def extend(start: int, u: int, length: int, pmask: int, cube: int) -> None:
+        ubit = 1 << u
         m = adj[u] & ~pmask
         while m:
             low = m & -m
             m ^= low
             w = low.bit_length() - 1
             # a chord from w to a path vertex other than u
-            if chord_adj[w] & pmask & ~(1 << u):
+            if chord_adj[w] & pmask & ~ubit:
                 continue
-            nreq = req | cycle_at[u] & cycle_at[w]
-            p = pmask | low
+            after, after_on, after_off, before, before_on, before_off = ring[w]
+            c = cube
+            if pmask & after:
+                c &= after_on if after == ubit else after_off
+            if pmask & before:
+                c &= before_on if before == ubit else before_off
             if w > start:
-                # a cycle edge on the path joins consecutive vertices (req) or
-                # others, which S must omit: mask is every i with i, i+1 (mod n) in p
-                out.append((length + 1, start, w, nreq, p & (p >> 1 | (p & 1) << (n - 1))))
-            extend(start, w, length + 1, p, nreq)
+                out.append((length + 1, start, w, c))
+            extend(start, w, length + 1, pmask | low, c)
 
     # a path from n-1 has every end below its start
     for s in range(n - 1):
-        extend(s, s, 1, 1 << s, 0)
+        extend(s, s, 1, 1 << s, everyone)
     return out
 
 
@@ -220,6 +230,15 @@ def dihedral_orbits(n: int) -> Iterator[tuple[Edges, int]]:
     return _orbit_minima(n, dissections(n))
 
 
+def _dihedral_images(n: int, edges: Edges) -> Iterator[list[tuple[int, int]]]:
+    """The edges under each of the 2n rotations and reflections of the
+    cycle 0..n-1, every image edge as (low, high)."""
+    for r in range(n):
+        for sign in (1, -1):
+            image = [((r + sign * u) % n, (r + sign * v) % n) for u, v in edges]
+            yield [(u, v) if u < v else (v, u) for u, v in image]
+
+
 def _orbit_minima(n: int, edge_sets: Iterable[Edges]) -> Iterator[tuple[Edges, int]]:
     """The least member and size of each rotation/reflection orbit that the
     sorted (low, high) edge tuples ``edge_sets`` meet, at the first member
@@ -231,29 +250,6 @@ def _orbit_minima(n: int, edge_sets: Iterable[Edges]) -> Iterator[tuple[Edges, i
             images = {tuple(sorted(image)) for image in _dihedral_images(n, edges)}
             seen |= images
             yield min(images), len(images)
-
-
-def _subcubes(n: int) -> Callable[[int, int], int]:
-    """``subcube(req, mask)``: the cycle-edge subsets S with ``S & mask == req``,
-    as a 2^n-bit int with bit S set for each.
-
-    ``bits[i]`` holds the subsets that contain cycle edge i; a subcube is
-    the AND over the bits of ``mask`` of ``bits[i]`` or its complement.
-    It is built by peeling mask's top bit and memoised, so masks that
-    share lower bits share the work.
-    """
-    bits = [sum(1 << s for s in range(1 << n) if s >> i & 1) for i in range(n)]
-    cubes = {(0, 0): (1 << (1 << n)) - 1}
-
-    def subcube(req: int, mask: int) -> int:
-        cube = cubes.get((req, mask))
-        if cube is None:
-            i = mask.bit_length() - 1
-            rest = subcube(req & ~(1 << i), mask ^ 1 << i)
-            cube = cubes[req, mask] = rest & (bits[i] if req >> i & 1 else ~bits[i])
-        return cube
-
-    return subcube
 
 
 def _add(planes: list[int], cube: int) -> None:
@@ -270,11 +266,11 @@ def _add(planes: list[int], cube: int) -> None:
     planes.append(cube)
 
 
-def _argmax(planes: list[int], everyone: int) -> tuple[int, int]:
-    """The largest count in ``planes`` over the subsets in ``everyone``, and
-    those that reach it: from the top plane down, keep the subsets with the
-    bit set whenever any of them has it."""
-    best, tied = 0, everyone
+def _argmax(planes: list[int]) -> tuple[int, int]:
+    """The largest count in ``planes`` and the subsets that reach it: from
+    the top plane down, keep the subsets with the bit set whenever any of
+    them has it.  With no planes, every subset ties at 0 (``tied`` is -1)."""
+    best, tied = 0, -1
     for j in reversed(range(len(planes))):
         top = tied & planes[j]
         if top:
@@ -287,33 +283,34 @@ def _sweep_block(args) -> tuple[list[int], list[list[Edges]], list[int]]:
 
     Returns, per length m, the most induced m-paths in one graph and the
     edge lists of the graphs that have that many, and the endpoint census
-    as a flat list, ``[(x*n+y)*(n+1) + m]``: the most induced m-paths
-    between x and y in one graph.
+    as a flat list, ``[d*(n+1) + m]``: the most induced m-paths in one
+    graph between two vertices at distance d = 1..n//2 around the cycle
+    (row d = 0 stays zero).
     """
     n, block = args
     cycle = _cycle_edges(n)
-    # a row is induced on exactly the subsets of its subcube
-    subcube = _subcubes(n)
-    everyone = subcube(0, 0)
+    everyone = (1 << (1 << n)) - 1
+    # bits[i]: the subsets that hold cycle edge i
+    bits = [sum(1 << s for s in range(1 << n) if s >> i & 1) for i in range(n)]
     best = [-1] * (n + 1)
     tied: list[list[tuple[Edges, int]]] = [[] for _ in range(n + 1)]
-    census = [0] * (n * n * (n + 1))
+    census = [0] * ((n // 2 + 1) * (n + 1))
     for chords in block:
         # totals holds only the lengths that have a row; a length may have
-        # none: a chord cuts the cycle's Hamiltonian path, for one
+        # none: a chord cuts the cycle's Hamiltonian path, for one.  Groups
+        # are per pair, since two pairs' counts must not be summed
         groups: dict[tuple[int, int, int], list[int]] = {}
         totals: dict[int, list[int]] = {}
-        for length, x, y, req, mask in _path_candidates(n, chords):
-            cube = subcube(req, mask)
+        for length, x, y, cube in _path_cubes(n, chords, bits, everyone):
             _add(groups.setdefault((length, x, y), []), cube)
             _add(totals.setdefault(length, []), cube)
         for (length, x, y), planes in groups.items():
             # a one-plane counter has count 1 on some subset
-            local = 1 if len(planes) == 1 else _argmax(planes, everyone)[0]
-            at = (x * n + y) * (n + 1) + length
+            local = 1 if len(planes) == 1 else _argmax(planes)[0]
+            at = min(y - x, n - y + x) * (n + 1) + length
             census[at] = max(census[at], local)
         for m, planes in totals.items():
-            local, sids = _argmax(planes, everyone)
+            local, sids = _argmax(planes)
             if local > best[m]:
                 best[m] = local
                 tied[m] = []
@@ -330,17 +327,6 @@ def _sweep_block(args) -> tuple[list[int], list[list[Edges]], list[int]]:
         for m in range(n + 1)
     ]
     return best, witnesses, census
-
-
-def _dihedral_images(
-    n: int, pairs: Sequence[tuple[int, int]]
-) -> Iterator[list[tuple[int, int]]]:
-    """The vertex pairs under each of the 2n rotations and reflections of the
-    cycle 0..n-1, every image pair as (low, high)."""
-    for r in range(n):
-        for sign in (1, -1):
-            image = [((r + sign * u) % n, (r + sign * v) % n) for u, v in pairs]
-            yield [(u, v) if u < v else (v, u) for u, v in image]
 
 
 @dataclass(frozen=True)
@@ -380,8 +366,9 @@ def _sweep(n: int, jobs: int) -> _Sweep:
     reflection of the cycle carries it onto a graph over the orbit
     representative of its dissection, with the same counts.  Blocks of
     representatives are scanned independently and reduced by max and
-    union, which does not depend on how the list is split; the census is
-    then closed under the 2n maps of the vertex pairs.  A sweep with less
+    union, which does not depend on how the list is split; each block keys
+    its census by the distance of the pair around the cycle, which those
+    maps keep, so the reduced rows serve every pair.  A sweep with less
     work than ``_FORK_WORK`` scans its blocks one after another in the
     caller, since a child would cost more than it saves; the blocks and
     their reduction are the same.
@@ -400,19 +387,14 @@ def _sweep(n: int, jobs: int) -> _Sweep:
     for m in range(n + 1):
         tied = (tuple(sorted(edges)) for p in parts if p[0][m] == best[m] for edges in p[1][m])
         classes.append(tuple(Graph(n, rep) for rep, _ in sorted(_orbit_minima(n, tied))))
-    # the census, reduced by max and closed under the 2n maps of the vertex
-    # pairs; a pair's images form its orbit, so updating in place gives
-    # each member the orbit's maximum
+    # the census, reduced by max; the rotations and reflections carry a pair
+    # x < y onto exactly the pairs at its distance around the cycle, so each
+    # pair reads its distance's row, and every pair x >= y the zero row 0
     census = [max(counts) for counts in zip(*(p[2] for p in parts))]
-    rows = [census[i : i + n + 1] for i in range(0, len(census), n + 1)]
-    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
-    images = list(_dihedral_images(n, pairs))
-    for i, (x, y) in enumerate(pairs):
-        orbit = [rows[u * n + v] for u, v in (image[i] for image in images)]
-        rows[x * n + y] = [max(counts) for counts in zip(*orbit)]
+    distance = (min(y - x, n - y + x) if x < y else 0 for x in range(n) for y in range(n))
     # a view of immutable bytes refuses writes; unlike the sweep's lists, a
     # memoryview does not pickle, so it is built here in the caller
-    flat = array("i", [c for row in rows for c in row])
+    flat = array("i", [c for d in distance for c in census[d * (n + 1) : (d + 1) * (n + 1)]])
     pair_maxima = memoryview(flat.tobytes()).cast("i", (n * n, n + 1))
     _sweep_cache[key] = _Sweep(tuple(best), tuple(classes), pair_maxima)
     return _sweep_cache[key]

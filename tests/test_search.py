@@ -37,9 +37,8 @@ from outerpath.search import (
     _add,
     _argmax,
     _chunked,
-    _path_candidates,
+    _path_cubes,
     _pool_map,
-    _subcubes,
     dihedral_orbits,
     dissections,
 )
@@ -137,6 +136,12 @@ class TestTriangulations:
                 random_outerplanar(n, random.Random(0))
 
 
+def path_cubes(n, chords):
+    """The sweep's path rows over ``chords``, with each cube's bit S for cycle-edge subset S."""
+    bits = [sum(1 << s for s in range(1 << n) if s >> i & 1) for i in range(n)]
+    return _path_cubes(n, chords, bits, (1 << (1 << n)) - 1)
+
+
 def crosses(a, b):
     (i, j), (k, l) = a, b
     return i < k < j < l or k < i < l < j
@@ -195,15 +200,16 @@ class TestOrbitRepresentatives:
             assert union == set(dissections(n))
 
     def test_candidate_rows_are_the_induced_paths_of_each_subset(self):
-        # the rows that subset S keeps, per (length, start, end), against the
-        # lister's induced paths of the cycle edges in S plus the chords
+        # the rows whose cube holds subset S, per (length, start, end),
+        # against the lister's induced paths of the cycle edges in S plus
+        # the chords
         graphs = 0
         for n in range(3, 8):
             cycle = [(i, (i + 1) % n) for i in range(n)]
             for chords, _ in dihedral_orbits(n):
-                rows = _path_candidates(n, chords)
+                rows = path_cubes(n, chords)
                 for s in range(1 << n):
-                    kept = Counter(row[:3] for row in rows if s & row[4] == row[3])
+                    kept = Counter(row[:3] for row in rows if row[3] >> s & 1)
                     g = Graph(n, [e for i, e in enumerate(cycle) if s >> i & 1] + list(chords))
                     paths = Counter(
                         (k, p[0], p[-1]) for k in range(2, n + 1) for p in iter_induced_paths(g, k)
@@ -221,21 +227,37 @@ class TestOrbitRepresentatives:
                     assert rows[a * n + b] == rows[x * n + y]
 
 
+@st.composite
+def drawn_dissection(draw, sizes):
+    """n from ``sizes`` and a dissection of the n-gon drawn chord by chord."""
+    n = draw(sizes)
+    diagonals = [(i, j) for i in range(n) for j in range(i + 2, n) if (i, j) != (0, n - 1)]
+    chords = []
+    for d in draw(st.lists(st.sampled_from(diagonals), max_size=n)) if diagonals else []:
+        if d not in chords and not any(crosses(d, c) for c in chords):
+            chords.append(d)
+    return n, chords
+
+
 class TestBitsetKernel:
     """The sweep's kernel: bit S of a 2^n-bit int stands for cycle-edge subset S."""
 
-    def test_subcubes_equal_a_direct_filter(self):
-        # every candidate row of every representative, against a scan of all
-        # 2^n subsets; the memo serves rows of later representatives too
-        rows = 0
-        for n in range(3, 8):
-            subcube = _subcubes(n)
-            assert subcube(0, 0) == (1 << (1 << n)) - 1
-            for chords, _ in dihedral_orbits(n):
-                for _, _, _, req, mask in _path_candidates(n, chords):
-                    assert subcube(req, mask) == sum(1 << s for s in range(1 << n) if s & mask == req)
-                    rows += 1
-        assert rows == 1536
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(drawn_dissection(st.integers(8, 9)), st.data())
+    def test_path_cubes_match_the_lister_at_n8_and_n9(self, dissection, data):
+        # test_candidate_rows_are_the_induced_paths_of_each_subset stops at
+        # n = 7; this oracle draws dissections and subsets of the two
+        # largest sweeps
+        n, chords = dissection
+        cycle = [(i, (i + 1) % n) for i in range(n)]
+        rows = path_cubes(n, chords)
+        for s in data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8)):
+            kept = Counter(row[:3] for row in rows if row[3] >> s & 1)
+            g = Graph(n, [e for i, e in enumerate(cycle) if s >> i & 1] + chords)
+            paths = Counter(
+                (k, p[0], p[-1]) for k in range(2, n + 1) for p in iter_induced_paths(g, k)
+            )
+            assert kept == paths, (n, chords, s)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
@@ -258,7 +280,9 @@ class TestBitsetKernel:
         # counter has maximum 1
         assert len(planes) == best.bit_length()
         tied = sum(1 << s for s, c in enumerate(counts) if c == best)
-        assert _argmax(planes, everyone) == (best, tied)
+        # with no planes every subset ties at 0, and tied is all ones
+        found, found_tied = _argmax(planes)
+        assert (found, found_tied & everyone) == (best, tied)
 
 
 class TestAtlasCoverage:
@@ -488,7 +512,8 @@ class TestExtremalValue:
         # canonicalising one graph per rotation/reflection class gives the
         # same witnesses as canonicalising every maximising labeled graph;
         # the kernel run over every dissection, not one per orbit, yields
-        # all of those graphs and the census without symmetrising
+        # all of those graphs, and its census row for distance d is the
+        # census of the pair (0, d)
         for n in range(4, 8):
             best, tied, census = search._sweep_block((n, list(dissections(n))))
             for k in range(2, n + 1):
@@ -496,7 +521,8 @@ class TestExtremalValue:
                 report = extremal_value(n, k)
                 assert report.max_copies == best[k]
                 assert report.witnesses == tuple(sorted(every))
-            assert census == [c for row in endpoint_pair_maxima(n).tolist() for c in row]
+            rows = endpoint_pair_maxima(n).tolist()
+            assert census == [0] * (n + 1) + [c for d in range(1, n // 2 + 1) for c in rows[d]]
 
     def test_n9_values(self):
         # equal to a sweep over every dissection rather than one per orbit,
@@ -525,10 +551,10 @@ class TestExtremalValue:
 
     def test_matches_recorded_reference(self):
         ref = json.loads(SEARCH_REFERENCE.read_text())
-        for n in range(4, 8):
+        for n in range(4, 9):
             for k in range(2, n + 1):
                 assert extremal_value(n, k).to_json_dict() == ref["cells"][f"{n},{k}"]
-        for n in range(3, 8):
+        for n in range(3, 9):
             assert endpoint_pair_maxima(n).tolist() == ref["census"][str(n)]
 
 
@@ -578,12 +604,7 @@ class TestEndpointCensus:
 @st.composite
 def outerplanar_on_the_cycle(draw):
     """A dissection of the n-gon drawn chord by chord, plus a cycle-edge subset."""
-    n = draw(st.integers(3, 9))
-    diagonals = [(i, j) for i in range(n) for j in range(i + 2, n) if (i, j) != (0, n - 1)]
-    chords = []
-    for d in draw(st.lists(st.sampled_from(diagonals), max_size=n)) if diagonals else []:
-        if d not in chords and not any(crosses(d, c) for c in chords):
-            chords.append(d)
+    n, chords = draw(drawn_dissection(st.integers(3, 9)))
     cycle = [(i, (i + 1) % n) for i in range(n)]
     kept = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     return Graph(n, chords + [e for e, keep in zip(cycle, kept) if keep])

@@ -24,6 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 CONSTRUCTIONS = "src/outerpath/constructions.py"
 GRAPH = "src/outerpath/graph.py"
+OUTERPLANAR = "src/outerpath/outerplanar.py"
 PATHS = "src/outerpath/paths.py"
 SEARCH = "src/outerpath/search.py"
 VERIFY = "src/outerpath/verify.py"
@@ -59,10 +60,17 @@ MUTANTS = [
         ["tests/test_paths.py"],
     ),
     (
-        "candidate mask drops the wrap-around cycle edge",
+        "path walk keeps a cycle edge to an earlier path vertex",
         SEARCH,
-        "p & (p >> 1 | (p & 1) << (n - 1))",
-        "p & (p >> 1)",
+        "after_on if after == ubit else after_off",
+        "after_on if after == ubit else everyone",
+        ["tests/test_search.py"],
+    ),
+    (
+        "path walk leaves the w-1 edge cubes unrotated",
+        SEARCH,
+        "*edge[w - 1]",
+        "*edge[w]",
         ["tests/test_search.py"],
     ),
     (
@@ -75,7 +83,7 @@ MUTANTS = [
     (
         "candidate chord test counts the predecessor",
         SEARCH,
-        "chord_adj[w] & pmask & ~(1 << u)",
+        "chord_adj[w] & pmask & ~ubit",
         "chord_adj[w] & pmask",
         ["tests/test_search.py"],
     ),
@@ -94,10 +102,10 @@ MUTANTS = [
         ["tests/test_search.py"],
     ),
     (
-        "subcube drops the complement",
+        "census distance ignores the wrap-around",
         SEARCH,
-        "bits[i] if req >> i & 1 else ~bits[i]",
-        "bits[i] if req >> i & 1 else bits[i]",
+        "distance = (min(y - x, n - y + x)",
+        "distance = (min(y - x, n // 2)",
         ["tests/test_search.py"],
     ),
     (
@@ -141,6 +149,41 @@ MUTANTS = [
         "tight = stored = True",
         "stored = True",
         ["tests/test_graph.py"],
+    ),
+    (
+        "block search splits only below a strict low point",
+        GRAPH,
+        "if low[w] >= dv:",
+        "if low[w] > dv:",
+        ["tests/test_graph.py"],
+    ),
+    (
+        "embedding check skips the sort of its spans",
+        OUTERPLANAR,
+        "    spans.sort()\n",
+        "",
+        ["tests/test_outerplanar.py"],
+    ),
+    (
+        "peel joins u and w to themselves",
+        OUTERPLANAR,
+        "for a, other in ((u, wbit), (w, ubit)):",
+        "for a, other in ((u, ubit), (w, wbit)):",
+        ["tests/test_outerplanar.py"],
+    ),
+    (
+        "recognition trusts the peeled cycle unchecked",
+        OUTERPLANAR,
+        "        if not verify_embedding(sub, emb):\n            return False\n",
+        "",
+        ["tests/test_outerplanar.py"],
+    ),
+    (
+        "outer cycle returns before its check",
+        OUTERPLANAR,
+        "        if verify_embedding(g, emb):\n            return emb",
+        "        return emb",
+        ["tests/test_outerplanar.py"],
     ),
     (
         "balanced-cut check reads the cut in one orientation",
