@@ -1,6 +1,10 @@
-"""Induced-path extremal toolkit for outerplanar graphs."""
+"""Induced-path extremal toolkit for outerplanar graphs.
 
-import importlib
+The root re-exports the names of the modules that :mod:`outerpath.cli`
+loads.  The search and chord-statistics names are imported from
+:mod:`outerpath.search` and :mod:`outerpath.chords`, so ``import outerpath``
+loads neither.
+"""
 
 from .graph import (
     MAX_VERTICES,
@@ -31,15 +35,6 @@ from .paths import (
     count_induced_paths_between,
     iter_induced_paths,
 )
-from .chords import (
-    ChordStats,
-    SidePartition,
-    chord_stats,
-    partition_is_complete,
-    phi,
-    side_inequalities,
-    side_partition,
-)
 from .constructions import (
     KINDS,
     ConstructionSpec,
@@ -52,26 +47,3 @@ from .constructions import (
 from .dual import DualTree, Tree, balanced_edge_cut, weak_dual
 
 __version__ = "1.0.0"
-
-# The search names resolve on first use (PEP 562), so `import outerpath`
-# leaves outerpath.search (about 2 ms to load from bytecode on a shared
-# 2-core host) to the code that reads them.  The hook goes once setup_s
-# shows that loading search eagerly costs nothing on any workload.
-_SEARCH_NAMES = frozenset(
-    {
-        "SearchReport",
-        "catalan",
-        "endpoint_pair_maxima",
-        "enumerate_triangulations",
-        "extremal_value",
-        "random_outerplanar",
-        "triangulation_chord_sets",
-    }
-)
-
-
-def __getattr__(name: str):
-    if name == "search" or name in _SEARCH_NAMES:
-        search = importlib.import_module(".search", __name__)
-        return search if name == "search" else getattr(search, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -129,6 +129,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.all_passed else 1
 
 
+def _jobs(text: str) -> int:
+    """The ``--jobs`` type of ``search`` and ``verify-paper``: a worker count of at least 1."""
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def _add_graph_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--g6", help="graph6 string")
     p.add_argument("--in", dest="infile", help="path to a graph6 file")
@@ -153,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive extremal search")
     p.add_argument("--n", type=int, nargs="+", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
     p.add_argument("--witnesses", action="store_true", help="include witness graph6 strings")
     p.add_argument("--csv", action="store_true", help="emit a flat n,k,max table")
     p.add_argument("--timing", action="store_true", help="include elapsed seconds")
@@ -178,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-paper", help="run the whole verification suite")
     p.add_argument("--only", help="run only checks whose name contains this substring")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=_jobs, default=os.cpu_count() or 1)
     p.add_argument("--timing", action="store_true", help="include elapsed seconds")
     p.add_argument("--json", help="write the JSON payload to this file")
     p.set_defaults(fn=_cmd_verify)

@@ -373,6 +373,8 @@ def _sweep(n: int, jobs: int) -> _Sweep:
     caller, since a child would cost more than it saves; the blocks and
     their reduction are the same.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     key = (n, jobs)
     if key in _sweep_cache:
         return _sweep_cache[key]
@@ -402,7 +404,7 @@ def _sweep(n: int, jobs: int) -> _Sweep:
 
 def _chunked(items: list, jobs: int) -> list[list]:
     """``items`` in at most ``jobs`` contiguous blocks of near-equal size."""
-    jobs = max(1, min(jobs, len(items)))
+    jobs = min(jobs, len(items))
     size = (len(items) + jobs - 1) // jobs
     return [items[i : i + size] for i in range(0, len(items), size)]
 

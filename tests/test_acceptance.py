@@ -22,19 +22,20 @@ from outerpath import (
     Graph,
     build,
     canonical_form,
-    catalan,
     count_induced_paths,
     count_induced_paths_between,
     double_star_p4_count,
-    endpoint_pair_maxima,
-    extremal_value,
     fib,
     h_count,
     lower_bound_value,
-    side_inequalities,
+)
+from outerpath.chords import chord_instances, partition_is_complete, side_inequalities
+from outerpath.search import (
+    catalan,
+    endpoint_pair_maxima,
+    extremal_value,
     triangulation_chord_sets,
 )
-from outerpath.chords import chord_instances, partition_is_complete
 from outerpath.verify import (
     check_graph6_roundtrip,
     check_tree_edge_cut,
@@ -249,7 +250,8 @@ def test_criterion_08_chord_inequality_suite():
 def test_criterion_09_oracle_equivalence():
     import random
 
-    from outerpath import count_induced_p3_closed_form, random_outerplanar
+    from outerpath import count_induced_p3_closed_form
+    from outerpath.search import random_outerplanar
 
     rng = random.Random(20240801)
     bad = 0

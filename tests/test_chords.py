@@ -2,16 +2,15 @@ from itertools import combinations, permutations
 
 import pytest
 
-from outerpath import (
-    Graph,
-    OuterEmbedding,
+from outerpath import Graph, OuterEmbedding
+from outerpath.chords import (
+    chord_instances,
     chord_stats,
     partition_is_complete,
     phi,
     side_inequalities,
     side_partition,
 )
-from outerpath.chords import chord_instances
 
 from helpers import brute_side_classes, side_arc, two_connected_corpus
 

@@ -10,13 +10,12 @@ from outerpath import (
     OuterEmbedding,
     Tree,
     balanced_edge_cut,
-    chord_stats,
     maximal_completion,
-    random_outerplanar,
-    triangulation_chord_sets,
     verify,
     weak_dual,
 )
+from outerpath.chords import chord_stats
+from outerpath.search import random_outerplanar, triangulation_chord_sets
 
 
 def cycle(n):

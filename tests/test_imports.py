@@ -1,5 +1,7 @@
-"""Import contract: no outerpath module loads numpy, only ``search`` and
-``verify-paper`` load the search stack, only a sweep that starts a child
+"""Import contract: no outerpath module loads numpy, ``import outerpath``
+loads the modules that ``outerpath.cli`` loads and no other, only
+``search`` and ``verify-paper`` load the search stack (``search`` without
+the chord statistics and the checks), only a sweep that starts a child
 loads multiprocessing, no module imports a name it never uses, and every
 name the benchmark's span tracer wraps resolves.
 
@@ -19,9 +21,9 @@ import pytest
 import outerpath
 
 # Modules the light commands must not load: numpy, which no outerpath module
-# loads, and those that only outerpath.search (and outerpath.verify, through
-# it) need.
-HEAVY = ("numpy", "multiprocessing", "outerpath.search", "outerpath.verify")
+# loads, and those that only outerpath.search and outerpath.verify (and
+# outerpath.chords, through it) need.
+HEAVY = ("numpy", "multiprocessing", "outerpath.search", "outerpath.chords", "outerpath.verify")
 
 REPORT_LOADED = f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))"
 
@@ -41,15 +43,30 @@ def test_import_leaves_search_stack_unloaded(module):
     assert json.loads(out) == []
 
 
+def test_root_loads_what_the_cli_loads():
+    code = (
+        "import json, sys\n"
+        "import {}\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('outerpath.'))))\n"
+    )
+    root = json.loads(run_fresh(code.format("outerpath")))
+    cli = json.loads(run_fresh(code.format("outerpath.cli")))
+    assert root == [m for m in cli if m != "outerpath.cli"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["count", "--kind", "star", "--n", "9", "--k", "3"],
         ["construct", "--kind", "cycle", "--n", "6"],
         ["dual", "--kind", "cycle", "--n", "6", "--complete"],
+        ["search", "--n", "5", "--k", "3"],
     ],
 )
 def test_light_commands_leave_search_stack_unloaded(argv):
+    # the search command loads the sweep, but not the checks or the chord
+    # statistics
+    loaded = ["outerpath.search"] if argv[0] == "search" else []
     code = (
         "import contextlib, io, json, sys\n"
         "from outerpath.cli import main\n"
@@ -57,7 +74,7 @@ def test_light_commands_leave_search_stack_unloaded(argv):
         f"    assert main({argv!r}) == 0\n"
         f"{REPORT_LOADED}"
     )
-    assert json.loads(run_fresh(code)) == []
+    assert json.loads(run_fresh(code)) == loaded
 
 
 def test_sweep_and_endpoint_check_load_no_numpy():
@@ -80,9 +97,9 @@ def test_sweeps_that_fork_no_child_load_no_multiprocessing():
     # and a one-block sweep starts no child at any size
     code = (
         "import json, sys\n"
-        "from outerpath import extremal_value, search\n"
+        "from outerpath import search\n"
         "search._sweep(8, 2)\n"
-        "assert extremal_value(8, 3, jobs=2).max_copies == 21\n"
+        "assert search.extremal_value(8, 3, jobs=2).max_copies == 21\n"
         "search._sweep(9, 1)\n"
         "print(json.dumps('multiprocessing' in sys.modules))\n"
     )
@@ -90,18 +107,24 @@ def test_sweeps_that_fork_no_child_load_no_multiprocessing():
 
 
 def test_search_names_resolve_on_first_use():
+    # the root does not re-export the search names; outerpath.search loads
+    # only when it is imported, and then is a submodule like any other
     code = (
         "import sys, outerpath\n"
+        "for name in ('extremal_value', 'search', 'chord_stats'):\n"
+        "    try:\n"
+        "        getattr(outerpath, name)\n"
+        "    except AttributeError:\n"
+        "        print('AttributeError', name)\n"
         "assert 'outerpath.search' not in sys.modules\n"
-        "assert outerpath.extremal_value is outerpath.search.extremal_value\n"
-        "from outerpath import catalan\n"
-        "assert catalan(5) == 42\n"
-        "try:\n"
-        "    outerpath.no_such_name\n"
-        "except AttributeError:\n"
-        "    print('AttributeError')\n"
+        "from outerpath import search\n"
+        "assert outerpath.search is search is sys.modules['outerpath.search']\n"
+        "assert search.catalan(5) == 42\n"
+        "assert not hasattr(outerpath, 'extremal_value')\n"
     )
-    assert run_fresh(code) == "AttributeError\n"
+    assert run_fresh(code) == (
+        "AttributeError extremal_value\nAttributeError search\nAttributeError chord_stats\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -11,8 +11,8 @@ from outerpath import (
     count_induced_paths,
     count_induced_paths_between,
     iter_induced_paths,
-    random_outerplanar,
 )
+from outerpath.search import random_outerplanar
 
 from helpers import (
     brute_count_between,

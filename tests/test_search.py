@@ -18,20 +18,14 @@ from outerpath import (
     Graph,
     UnsupportedSizeError,
     canonical_form,
-    catalan,
     count_induced_paths,
     count_induced_paths_between,
-    endpoint_pair_maxima,
-    enumerate_triangulations,
-    extremal_value,
     fib,
     from_graph6,
     is_outerplanar,
     iter_induced_paths,
-    random_outerplanar,
     search,
     to_graph6,
-    triangulation_chord_sets,
 )
 from outerpath.search import (
     _add,
@@ -39,8 +33,14 @@ from outerpath.search import (
     _chunked,
     _path_cubes,
     _pool_map,
+    catalan,
     dihedral_orbits,
     dissections,
+    endpoint_pair_maxima,
+    enumerate_triangulations,
+    extremal_value,
+    random_outerplanar,
+    triangulation_chord_sets,
 )
 
 from helpers import brute_count_induced_paths, enumerate_outerplanar
@@ -429,6 +429,14 @@ class TestExtremalValue:
         with pytest.raises(ValueError):
             extremal_value(6, 1)
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs):
+        # rejected before any sweep runs, so no block is scanned
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            extremal_value(5, 3, jobs=jobs)
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            endpoint_pair_maxima(5, jobs=jobs)
+
     def test_worker_counts_agree(self):
         base = extremal_value(6, 3, jobs=1)
         for jobs in (2, 8):
@@ -570,6 +578,28 @@ class TestEndpointCensus:
                         for m in range(2, n + 1):
                             c = count_induced_paths_between(g, x, y, m)
                             assert c <= maxima[n][x * n + y, m]
+
+    def test_block_census_equals_direct_counting(self):
+        # one dissection per block, every dissection rather than one per
+        # orbit: each row of a block's census is the most induced m-paths
+        # between two vertices at that distance around the cycle, over
+        # every cycle-edge subset
+        blocks = 0
+        for n in (5, 6):
+            cycle = [(i, (i + 1) % n) for i in range(n)]
+            for chords in dissections(n):
+                census = search._sweep_block((n, [chords]))[2]
+                direct = [0] * len(census)
+                for s in range(1 << n):
+                    g = Graph(n, [e for i, e in enumerate(cycle) if s >> i & 1] + list(chords))
+                    for x, y in combinations(range(n), 2):
+                        row = min(y - x, n - y + x) * (n + 1)
+                        for m in range(2, n + 1):
+                            c = count_induced_paths_between(g, x, y, m)
+                            direct[row + m] = max(direct[row + m], c)
+                assert census == direct, (n, chords)
+                blocks += 1
+        assert blocks == 56
 
     def test_census_maximum_is_achieved(self):
         # some graph and pair attains the recorded maximum for each length

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import outerpath
 from outerpath.cli import main
 from outerpath.verify import ALL_CHECKS, CheckResult, check_fibonacci_recurrence, run_verify
@@ -83,6 +85,22 @@ class TestSearch:
     def test_unsupported_size_message(self, capsys):
         code, _, err = run_cli(capsys, "search", "--n", "10", "--k", "3", "--jobs", "1")
         assert code == 2 and "3 <= n <= 9" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--n", "5", "--k", "3"],
+        ["verify-paper", "--only", "fibonacci"],
+    ],
+)
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_is_a_usage_error(capsys, argv, jobs):
+    # argparse rejects the value before the command runs
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--jobs", jobs])
+    assert exc.value.code == 2
+    assert f"argument --jobs: must be at least 1, got {jobs}" in capsys.readouterr().err
 
 
 class TestConstructAndDual:

@@ -109,6 +109,13 @@ MUTANTS = [
         ["tests/test_search.py"],
     ),
     (
+        "census write ignores the wrap-around",
+        SEARCH,
+        "at = min(y - x, n - y + x) * (n + 1)",
+        "at = min(y - x, n // 2) * (n + 1)",
+        ["tests/test_search.py::TestEndpointCensus::test_block_census_equals_direct_counting"],
+    ),
+    (
         "small sweeps fork and large ones run in the caller",
         SEARCH,
         "if len(reps) << n < _FORK_WORK:",
