@@ -31,16 +31,14 @@ side line is stated once and read on both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .graph import Graph, VertexSet, bits, is_two_connected, vertex_set
 from .outerplanar import OuterEmbedding, verify_embedding
 from .paths import iter_induced_paths
 
 
-@dataclass(frozen=True)
-class SidePartition:
+class SidePartition(NamedTuple):
     """One side's counts, classes and shared vertex v_ell (host labels)."""
 
     x: int
@@ -60,8 +58,7 @@ class SidePartition:
     v_ell: int | None
 
 
-@dataclass(frozen=True)
-class ChordStats:
+class ChordStats(NamedTuple):
     """Side U and the mirrored side U'; t, q and the primed counts are ``up``'s."""
 
     u: SidePartition

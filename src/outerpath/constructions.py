@@ -9,8 +9,7 @@ count, giving the quadratic lower-bound family for induced paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .graph import Graph
 from .outerplanar import OuterEmbedding, outer_cycle, verify_embedding
@@ -19,8 +18,7 @@ from .paths import count_induced_paths_between
 KINDS = ("star", "cycle", "cycle_pendant", "c6_chord", "g_t", "g_t_prime", "double_star")
 
 
-@dataclass(frozen=True)
-class ConstructionSpec:
+class ConstructionSpec(NamedTuple):
     kind: str
     n: int | None = None
     t: int | None = None
@@ -139,6 +137,9 @@ def h_count(t: int) -> int:
 
 def lower_bound_value(k: int, n: int) -> Fraction:
     """fib(k-1) * (n-2k+3)^2 / 4, exact."""
+    # only this function needs fractions, which import outerpath skips
+    from fractions import Fraction
+
     if k < 2:
         raise ValueError(f"lower_bound_value needs k >= 2, got {k}")
     if n < 2 * k:

@@ -14,14 +14,39 @@ every subtree before its parent edge is met, which is all the cut needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .graph import Graph
 from .outerplanar import OuterEmbedding, _regions, verify_embedding
 
 
-@dataclass(frozen=True)
-class Tree:
+class _Record:
+    """A slotted record that cannot be assigned to after construction.
+
+    Equality and hash read the fields in ``_key``; ``repr`` shows every slot.
+    """
+
+    __slots__ = ()
+    _key: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._key)
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, f) for f in self._key))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Tree(_Record):
     """Plain tree on nodes 0..n-1, edges as (parent, child) in connected order.
 
     The first edge's parent is the root; every later edge's parent has
@@ -29,8 +54,13 @@ class Tree:
     edges always span a tree.  Validated on construction.
     """
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = _key = ("n", "edges")
+
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
+        # perfbench/spans.py times the validator under this hook name
+        self.__post_init__()
 
     def __post_init__(self):
         n = self.n
@@ -58,13 +88,25 @@ class Tree:
         return t
 
 
-@dataclass(frozen=True)
-class DualTree:
-    """Weak dual: faces as host-vertex triples plus the face adjacency."""
+class DualTree(_Record):
+    """Weak dual: faces as host-vertex triples plus the face adjacency.
 
-    nodes: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[int, int], ...]
-    shared_edge: dict[tuple[int, int], tuple[int, int]] = field(compare=False)
+    ``shared_edge`` maps each dual edge to its host edge; it follows from
+    the faces, so equality and hash ignore it.
+    """
+
+    __slots__ = ("nodes", "edges", "shared_edge")
+    _key = ("nodes", "edges")
+
+    def __init__(
+        self,
+        nodes: tuple[tuple[int, ...], ...],
+        edges: tuple[tuple[int, int], ...],
+        shared_edge: dict[tuple[int, int], tuple[int, int]],
+    ):
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "shared_edge", shared_edge)
 
     def to_tree(self) -> Tree:
         """The dual as a :class:`Tree`, its edges in BFS order from face 0."""

@@ -13,13 +13,12 @@ below the graph core's own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph, VertexSet, bits, blocks, induced_subgraph, is_two_connected
 
 
-@dataclass(frozen=True)
-class OuterEmbedding:
+class OuterEmbedding(NamedTuple):
     """Counter-clockwise outer-cycle positions, as a vertex permutation."""
 
     order: tuple[int, ...]

@@ -14,15 +14,13 @@ vertex and taking one popcount there for the choices of the last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .graph import Graph
 
 
-@dataclass(frozen=True)
-class PathCount:
+class PathCount(NamedTuple):
     k: int
     copies: int
 

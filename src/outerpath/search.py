@@ -43,9 +43,8 @@ from __future__ import annotations
 import random
 import time
 from array import array
-from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .graph import SCHEMA, Graph, UnsupportedSizeError, canonical_form
 
@@ -186,8 +185,7 @@ def _path_cubes(
     return out
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(NamedTuple):
     """One (n, k) cell of the exhaustive search.
 
     ``graphs_scanned`` is Catalan(n-2) * 2^(2n-3), the number of
@@ -329,8 +327,7 @@ def _sweep_block(args) -> tuple[list[int], list[list[Edges]], list[int]]:
     return best, witnesses, census
 
 
-@dataclass(frozen=True)
-class _Sweep:
+class _Sweep(NamedTuple):
     """One pass over every n-vertex outerplanar graph, for every path length m.
 
     ``best[m]`` is the most induced m-paths in one graph; ``classes[m]``

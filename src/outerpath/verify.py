@@ -18,14 +18,12 @@ smallest instance.
 from __future__ import annotations
 
 import functools
-import inspect
 import json
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .chords import _FIRST_ORDER, _SECOND_ORDER, chord_instances, partition_is_complete, side_inequalities
 from .constructions import (
@@ -55,8 +53,7 @@ from .search import (
 _SEED = 20240801
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     claim: str
     passed: bool
@@ -75,8 +72,7 @@ class CheckResult:
         }
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     checks: list[CheckResult]
 
     @property
@@ -146,7 +142,7 @@ def _check(name: str, claim: str):
     passes the worker count on if the body takes it, and times the body."""
 
     def register(body):
-        takes_jobs = bool(inspect.signature(body).parameters)
+        takes_jobs = body.__code__.co_argcount > 0
 
         @functools.wraps(body)
         def run(jobs: int = 1) -> CheckResult:

@@ -2,8 +2,9 @@
 loads the modules that ``outerpath.cli`` loads and no other, only
 ``search`` and ``verify-paper`` load the search stack (``search`` without
 the chord statistics and the checks), only a sweep that starts a child
-loads multiprocessing, no module imports a name it never uses, and every
-name the benchmark's span tracer wraps resolves.
+loads multiprocessing, no command loads dataclasses or inspect and only
+the checks load fractions, no module imports a name it never uses, and
+every name the benchmark's span tracer wraps resolves.
 
 Each load check runs in a fresh interpreter, since this test process has
 long since imported the search stack.
@@ -25,7 +26,14 @@ import outerpath
 # outerpath.chords, through it) need.
 HEAVY = ("numpy", "multiprocessing", "outerpath.search", "outerpath.chords", "outerpath.verify")
 
-REPORT_LOADED = f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))"
+# Standard modules that cost start-up time and that the light commands do
+# not need: dataclasses, which loads inspect (and with it ast, dis and
+# tokenize), and fractions, which loads decimal.  The records are
+# NamedTuples and slotted classes, and only lower_bound_value and the checks
+# use fractions.
+SLOW_STDLIB = ("dataclasses", "inspect", "fractions", "decimal")
+
+REPORT_LOADED = f"print(json.dumps([m for m in {HEAVY + SLOW_STDLIB!r} if m in sys.modules]))"
 
 
 def run_fresh(code: str) -> str:
@@ -35,6 +43,16 @@ def run_fresh(code: str) -> str:
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def _main(argv: list[str]) -> str:
+    """Code that runs the command line on ``argv`` and asserts exit status 0."""
+    return (
+        "import contextlib, io\n"
+        "from outerpath.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n"
+    )
 
 
 @pytest.mark.parametrize("module", ["outerpath", "outerpath.cli"])
@@ -65,16 +83,19 @@ def test_root_loads_what_the_cli_loads():
 )
 def test_light_commands_leave_search_stack_unloaded(argv):
     # the search command loads the sweep, but not the checks or the chord
-    # statistics
+    # statistics; none of them loads dataclasses, inspect or fractions
     loaded = ["outerpath.search"] if argv[0] == "search" else []
+    assert json.loads(run_fresh(f"import json, sys\n{_main(argv)}{REPORT_LOADED}")) == loaded
+
+
+def test_verify_paper_loads_no_dataclasses_or_inspect():
+    # the checks compare counts with lower_bound_value's fractions
     code = (
-        "import contextlib, io, json, sys\n"
-        "from outerpath.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main({argv!r}) == 0\n"
-        f"{REPORT_LOADED}"
+        "import json, sys\n"
+        + _main(["verify-paper", "--only", "endpoint", "--jobs", "1"])
+        + "print(json.dumps([m for m in ('dataclasses', 'inspect') if m in sys.modules]))\n"
     )
-    assert json.loads(run_fresh(code)) == loaded
+    assert json.loads(run_fresh(code)) == []
 
 
 def test_sweep_and_endpoint_check_load_no_numpy():

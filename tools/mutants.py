@@ -23,6 +23,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CONSTRUCTIONS = "src/outerpath/constructions.py"
+DUAL = "src/outerpath/dual.py"
 GRAPH = "src/outerpath/graph.py"
 OUTERPLANAR = "src/outerpath/outerplanar.py"
 PATHS = "src/outerpath/paths.py"
@@ -198,6 +199,27 @@ MUTANTS = [
         "    if parent[u] == v:\n        u, v = v, u\n",
         "",
         ["tests/test_dual.py"],
+    ),
+    (
+        "balanced cut folds a side of exactly half",
+        DUAL,
+        "if side > half:",
+        "if side >= half:",
+        ["tests/test_dual.py::TestBalancedEdgeCut::test_ties_go_to_the_smallest_edge"],
+    ),
+    (
+        "balanced cut counts no children",
+        DUAL,
+        "        deg[p] += 1\n",
+        "",
+        ["tests/test_dual.py::TestBalancedEdgeCut::test_degree_cap_enforced"],
+    ),
+    (
+        "tree construction skips validation",
+        DUAL,
+        "        self.__post_init__()\n",
+        "",
+        ["tests/test_dual.py::TestTree"],
     ),
     (
         "fib index shifted by one",
