@@ -1,15 +1,7 @@
 """Exhaustive extremal search over outerplanar graphs.
 
-Every maximal outerplanar graph on n >= 3 vertices is a triangulated
-convex polygon, so every outerplanar graph (up to relabeling the outer
-cycle to the identity) is an edge subset of some polygon triangulation:
-a subset of the n cycle edges plus a non-crossing chord set.  One apex
-recursion over the n-gon enumerates the triangulations (every apex over
-each base, Catalan(n-2) of them), draws ``random_outerplanar``'s (one
-random apex) and, with each chord to an apex's left part present or
-absent, lists the dissections of the n-gon directly, each once,
-little-Schroeder(n) of them.
-
+Every outerplanar graph with outer cycle 0..n-1 is a subset of the n
+cycle edges plus a dissection of the n-gon (:mod:`outerpath.polygon`).
 Rotating or reflecting the outer cycle changes no count, so one sweep
 per n scans only one dissection D per dihedral orbit (75 of the 903 at
 n = 8), with all 2^n subsets of the cycle edges.  Every subset is
@@ -40,97 +32,17 @@ caller scans all its blocks itself and never imports multiprocessing.
 
 from __future__ import annotations
 
-import random
 import time
 from array import array
-from math import comb
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import NamedTuple
 
 from .graph import SCHEMA, Graph, UnsupportedSizeError, canonical_form
+from .polygon import Edges, catalan, cycle_edges, dihedral_orbits, orbit_minima
 
-TRIANGULATION_CAP = 16
+# perfbench/spans.py traces this name as search.triangulation_chord_sets
+from .polygon import triangulation_chord_sets
+
 SEARCH_CAP = 9
-
-Edges = tuple[tuple[int, int], ...]
-
-
-def catalan(m: int) -> int:
-    return comb(2 * m, m) // (m + 1)
-
-
-def _every_apex(lo: int, hi: int) -> range:
-    return range(lo + 1, hi)
-
-
-def _polygon_chords(
-    n: int, apexes: Callable[[int, int], Iterable[int]], dissect: bool = False
-) -> Iterator[Edges]:
-    """Chord sets of the n-gon on positions 0..n-1, built over the base (0, n-1).
-
-    Over a base (lo, hi), the apex c is the corner next to hi of the face
-    on the base, and ``apexes(lo, hi)`` gives the apexes to try.  The
-    chord (c, hi) is present whenever c..hi is a polygon.  The chord
-    (lo, c) is present too, which gives triangulations, or, with
-    ``dissect``, also absent, when the face over (lo, c) merges into the
-    base's face; that gives every dissection once.  The base's chords
-    come before those of the parts lo..c and c..hi.
-    """
-    if not 3 <= n <= TRIANGULATION_CAP:
-        raise ValueError(f"polygon enumeration supports 3 <= n <= {TRIANGULATION_CAP}")
-    return _chords_over(0, n - 1, apexes, dissect)
-
-
-def _chords_over(
-    lo: int, hi: int, apexes: Callable[[int, int], Iterable[int]], dissect: bool
-) -> Iterator[Edges]:
-    if hi - lo < 2:
-        yield ()
-        return
-    for c in apexes(lo, hi):
-        base = ((c, hi),) if hi - c >= 2 else ()
-        # a dissection may also leave (lo, c) out
-        merged = base if dissect and c - lo >= 2 else None
-        if c - lo >= 2:
-            base = ((lo, c),) + base
-        for left in _chords_over(lo, c, apexes, dissect):
-            for right in _chords_over(c, hi, apexes, dissect):
-                yield base + left + right
-                if merged is not None:
-                    yield merged + left + right
-
-
-def triangulation_chord_sets(n: int) -> Iterator[Edges]:
-    for chords in _polygon_chords(n, _every_apex):
-        yield tuple(sorted(chords))
-
-
-def dissections(n: int) -> Iterator[Edges]:
-    """Each dissection of the n-gon 0..n-1 by non-crossing chords once, as a
-    sorted chord tuple: little-Schroeder(n) of them (OEIS A001003)."""
-    for chords in _polygon_chords(n, _every_apex, dissect=True):
-        yield tuple(sorted(chords))
-
-
-def _cycle_edges(n: int) -> list[tuple[int, int]]:
-    return [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
-
-
-def enumerate_triangulations(n: int) -> Iterator[Graph]:
-    """All triangulations of the convex n-gon with outer cycle 0..n-1."""
-    cycle = _cycle_edges(n)
-    for chords in triangulation_chord_sets(n):
-        yield Graph(n, cycle + list(chords))
-
-
-def random_outerplanar(n: int, rng: random.Random) -> Graph:
-    """Random edge subset of the triangulation drawn with one random apex per base."""
-    triangulation = _polygon_chords(n, lambda lo, hi: (rng.randint(lo + 1, hi - 1),))
-    keep = rng.uniform(0.3, 1.0)
-    edges = _cycle_edges(n) + list(next(triangulation))
-    return Graph(n, [e for e in edges if rng.random() < keep])
-
-
-# -- sweep over one dissection per dihedral orbit ------------------------------
 
 
 def _path_cubes(
@@ -140,8 +52,9 @@ def _path_cubes(
     ``chords``, as (length, start, end, cube): bit S of ``cube`` is set iff
     the path is induced with every chord and the cycle edges of subset S.
 
-    Cycle edge i of :func:`_cycle_edges` joins i and i+1 (mod n); ``bits[i]``
-    holds the subsets that contain it and ``everyone`` all 2^n subsets.
+    Cycle edge i of :func:`~outerpath.polygon.cycle_edges` joins i and i+1
+    (mod n); ``bits[i]`` holds the subsets that contain it and
+    ``everyone`` all 2^n subsets.
     When w joins the path after u, each cycle edge from w to a path vertex
     narrows the cube: to the subsets that hold it if it joins w to u, else
     to those without it.  A path with a chord between non-consecutive
@@ -191,7 +104,8 @@ class SearchReport(NamedTuple):
     ``graphs_scanned`` is Catalan(n-2) * 2^(2n-3), the number of
     (triangulation, edge subset) pairs the search covers.  Each distinct
     labeled graph among them is covered by a rotation or reflection of
-    the outer cycle onto a scanned graph (see :func:`dihedral_orbits`).
+    the outer cycle onto a scanned graph (see
+    :func:`outerpath.polygon.dihedral_orbits`).
     """
 
     n: int
@@ -216,38 +130,6 @@ class SearchReport(NamedTuple):
         if timing:
             out["elapsed"] = self.elapsed
         return out
-
-
-def dihedral_orbits(n: int) -> Iterator[tuple[Edges, int]]:
-    """Each rotation/reflection orbit of the dissections of the n-gon once,
-    as its least chord set and its size, the number of dissections in it.
-
-    Orbits come in the order in which :func:`dissections` first meets a
-    member of each.
-    """
-    return _orbit_minima(n, dissections(n))
-
-
-def _dihedral_images(n: int, edges: Edges) -> Iterator[list[tuple[int, int]]]:
-    """The edges under each of the 2n rotations and reflections of the
-    cycle 0..n-1, every image edge as (low, high)."""
-    for r in range(n):
-        for sign in (1, -1):
-            image = [((r + sign * u) % n, (r + sign * v) % n) for u, v in edges]
-            yield [(u, v) if u < v else (v, u) for u, v in image]
-
-
-def _orbit_minima(n: int, edge_sets: Iterable[Edges]) -> Iterator[tuple[Edges, int]]:
-    """The least member and size of each rotation/reflection orbit that the
-    sorted (low, high) edge tuples ``edge_sets`` meet, at the first member
-    met; the orbit's 2n images are then kept, so its later members cost one lookup.
-    """
-    seen: set[Edges] = set()
-    for edges in edge_sets:
-        if edges not in seen:
-            images = {tuple(sorted(image)) for image in _dihedral_images(n, edges)}
-            seen |= images
-            yield min(images), len(images)
 
 
 def _add(planes: list[int], cube: int) -> None:
@@ -286,7 +168,7 @@ def _sweep_block(args) -> tuple[list[int], list[list[Edges]], list[int]]:
     (row d = 0 stays zero).
     """
     n, block = args
-    cycle = _cycle_edges(n)
+    cycle = cycle_edges(n)
     everyone = (1 << (1 << n)) - 1
     # bits[i]: the subsets that hold cycle edge i
     bits = [sum(1 << s for s in range(1 << n) if s >> i & 1) for i in range(n)]
@@ -385,7 +267,7 @@ def _sweep(n: int, jobs: int) -> _Sweep:
     classes = []
     for m in range(n + 1):
         tied = (tuple(sorted(edges)) for p in parts if p[0][m] == best[m] for edges in p[1][m])
-        classes.append(tuple(Graph(n, rep) for rep, _ in sorted(_orbit_minima(n, tied))))
+        classes.append(tuple(Graph(n, rep) for rep, _ in sorted(orbit_minima(n, tied))))
     # the census, reduced by max; the rotations and reflections carry a pair
     # x < y onto exactly the pairs at its distance around the cycle, so each
     # pair reads its distance's row, and every pair x >= y the zero row 0

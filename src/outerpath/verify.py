@@ -21,7 +21,6 @@ import functools
 import json
 import random
 import time
-from fractions import Fraction
 from math import comb
 from typing import Callable, Iterator, NamedTuple
 
@@ -39,16 +38,15 @@ from .graph import SCHEMA, Graph, canonical_form
 from .graph6 import from_graph6, to_graph6
 from .outerplanar import OuterEmbedding
 from .paths import count_induced_p3_closed_form, count_induced_paths
-from .search import (
-    _cycle_edges,
+from .polygon import (
     catalan,
+    cycle_edges,
     dihedral_orbits,
-    endpoint_pair_maxima,
     enumerate_triangulations,
-    extremal_value,
     random_outerplanar,
     triangulation_chord_sets,
 )
+from .search import endpoint_pair_maxima, extremal_value
 
 _SEED = 20240801
 
@@ -230,7 +228,7 @@ def check_sandwich(jobs: int):
             if k >= 2 and n >= 2 * k:
                 low = lower_bound_value(k, n)
                 row["lower"] = str(low)
-                if Fraction(report.max_copies) < low:
+                if report.max_copies < low:
                     ok = False
             rows.append(row)
     return ok, {"rows": rows}, {"note": "lower <= extremal <= upper on every row"}
@@ -247,7 +245,7 @@ def check_construction_strength():
             copies = count_induced_paths(g, k + 1).copies
             bound = lower_bound_value(k, n)
             rows.append({"k": k, "n": n, "copies": copies, "bound": str(bound)})
-            if Fraction(copies) < bound:
+            if copies < bound:
                 ok = False
     return ok, {"rows": rows}, {"note": "copies >= bound on every row"}
 
@@ -303,7 +301,7 @@ def chord_suite_counts(n_max: int = 8) -> dict:
     partition completeness, the first-order side lines (s1/p1/t1/q1 plus
     both size sums) and the second-order side lines (s2/p2/t2/q2),
     together with the instance total, over every chord of the n-cycle plus
-    each dissection of the n-gon (:func:`~outerpath.search.dissections`),
+    each dissection of the n-gon (:func:`~outerpath.polygon.dissections`),
     3 <= n <= ``n_max``: each 2-connected outerplanar graph with outer
     cycle 0..n-1 once.
 
@@ -323,7 +321,7 @@ def chord_suite_counts(n_max: int = 8) -> dict:
         "second_order_lines": 0,
     }
     for n in range(3, n_max + 1):
-        cycle = _cycle_edges(n)
+        cycle = cycle_edges(n)
         emb = OuterEmbedding.identity(n)
         for chords, weight in dihedral_orbits(n):
             g = Graph(n, cycle + list(chords))

@@ -3,7 +3,7 @@
 Everything here is deliberately naive (permutation scans, O(n^k)
 enumeration) and shares no code with the library paths it checks, except
 :func:`enumerate_outerplanar` and :func:`two_connected_corpus`: these two
-list graphs over ``outerpath.search.dissections``, which
+list graphs over ``outerpath.polygon.dissections``, which
 ``tests/test_search.py`` checks against a brute-force filter of the
 diagonal subsets; and :func:`reference_brute_form`, the earlier form of
 the canonical-form search, which writes its result with
@@ -16,7 +16,7 @@ import random
 from itertools import combinations, permutations
 
 from outerpath import Graph, OuterEmbedding, bits, to_graph6
-from outerpath.search import dissections
+from outerpath.polygon import dissections
 
 
 def _cycle(n: int) -> list[tuple[int, int]]:

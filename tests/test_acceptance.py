@@ -30,12 +30,8 @@ from outerpath import (
     lower_bound_value,
 )
 from outerpath.chords import chord_instances, partition_is_complete, side_inequalities
-from outerpath.search import (
-    catalan,
-    endpoint_pair_maxima,
-    extremal_value,
-    triangulation_chord_sets,
-)
+from outerpath.polygon import catalan, triangulation_chord_sets
+from outerpath.search import endpoint_pair_maxima, extremal_value
 from outerpath.verify import (
     check_graph6_roundtrip,
     check_tree_edge_cut,
@@ -251,7 +247,7 @@ def test_criterion_09_oracle_equivalence():
     import random
 
     from outerpath import count_induced_p3_closed_form
-    from outerpath.search import random_outerplanar
+    from outerpath.polygon import random_outerplanar
 
     rng = random.Random(20240801)
     bad = 0

@@ -15,7 +15,7 @@ from outerpath import (
     weak_dual,
 )
 from outerpath.chords import chord_stats
-from outerpath.search import random_outerplanar, triangulation_chord_sets
+from outerpath.polygon import random_outerplanar, triangulation_chord_sets
 
 
 def cycle(n):

@@ -12,6 +12,7 @@ from outerpath import (
     graph,
     induced_subgraph,
     is_two_connected,
+    polygon,
     search,
     to_dot,
     vertex_set,
@@ -194,7 +195,7 @@ class TestCanonicalForm:
         # graphs from sparse to dense on 1..9 vertices, then outerplanar ones
         rng = random.Random(2718)
         graphs = [random_graph(rng.randint(1, 9), rng.uniform(0.1, 0.9), rng) for _ in range(2000)]
-        graphs += [search.random_outerplanar(rng.randint(3, 9), rng) for _ in range(1000)]
+        graphs += [polygon.random_outerplanar(rng.randint(3, 9), rng) for _ in range(1000)]
         for g in graphs:
             assert graph._brute_form(g) == reference_brute_form(g)
 

@@ -1,10 +1,12 @@
 """Import contract: no outerpath module loads numpy, ``import outerpath``
 loads the modules that ``outerpath.cli`` loads and no other, only
 ``search`` and ``verify-paper`` load the search stack (``search`` without
-the chord statistics and the checks), only a sweep that starts a child
-loads multiprocessing, no command loads dataclasses or inspect and only
-the checks load fractions, no module imports a name it never uses, and
-every name the benchmark's span tracer wraps resolves.
+the chord statistics and the checks), ``outerpath.polygon`` loads no
+part of it, only a sweep that starts a child loads multiprocessing, no
+command loads dataclasses or inspect and only the checks that call
+``lower_bound_value`` load fractions, no module imports a name it never
+uses but one the benchmark's span tracer wraps there, and every name that
+tracer wraps resolves.
 
 Each load check runs in a fresh interpreter, since this test process has
 long since imported the search stack.
@@ -21,10 +23,19 @@ import pytest
 
 import outerpath
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
 # Modules the light commands must not load: numpy, which no outerpath module
 # loads, and those that only outerpath.search and outerpath.verify (and
 # outerpath.chords, through it) need.
-HEAVY = ("numpy", "multiprocessing", "outerpath.search", "outerpath.chords", "outerpath.verify")
+HEAVY = (
+    "numpy",
+    "multiprocessing",
+    "outerpath.polygon",
+    "outerpath.search",
+    "outerpath.chords",
+    "outerpath.verify",
+)
 
 # Standard modules that cost start-up time and that the light commands do
 # not need: dataclasses, which loads inspect (and with it ast, dis and
@@ -82,20 +93,29 @@ def test_root_loads_what_the_cli_loads():
     ],
 )
 def test_light_commands_leave_search_stack_unloaded(argv):
-    # the search command loads the sweep, but not the checks or the chord
-    # statistics; none of them loads dataclasses, inspect or fractions
-    loaded = ["outerpath.search"] if argv[0] == "search" else []
+    # the search command loads the sweep and the polygon, but not the checks
+    # or the chord statistics; none of them loads dataclasses, inspect or
+    # fractions
+    loaded = ["outerpath.polygon", "outerpath.search"] if argv[0] == "search" else []
     assert json.loads(run_fresh(f"import json, sys\n{_main(argv)}{REPORT_LOADED}")) == loaded
 
 
 def test_verify_paper_loads_no_dataclasses_or_inspect():
-    # the checks compare counts with lower_bound_value's fractions
+    # nor fractions or decimal: lower_bound_value imports fractions when it
+    # is called, and the endpoint check does not call it
     code = (
         "import json, sys\n"
         + _main(["verify-paper", "--only", "endpoint", "--jobs", "1"])
-        + "print(json.dumps([m for m in ('dataclasses', 'inspect') if m in sys.modules]))\n"
+        + f"print(json.dumps([m for m in {SLOW_STDLIB!r} if m in sys.modules]))\n"
     )
     assert json.loads(run_fresh(code)) == []
+
+
+def test_polygon_loads_no_sweep_or_checks():
+    # code that lists or draws n-gon graphs without the sweep can import
+    # the polygon alone
+    out = run_fresh(f"import json, sys\nimport outerpath.polygon\n{REPORT_LOADED}")
+    assert json.loads(out) == ["outerpath.polygon"]
 
 
 def test_sweep_and_endpoint_check_load_no_numpy():
@@ -140,7 +160,8 @@ def test_search_names_resolve_on_first_use():
         "assert 'outerpath.search' not in sys.modules\n"
         "from outerpath import search\n"
         "assert outerpath.search is search is sys.modules['outerpath.search']\n"
-        "assert search.catalan(5) == 42\n"
+        "from outerpath.polygon import catalan\n"
+        "assert catalan(5) == 42\n"
         "assert not hasattr(outerpath, 'extremal_value')\n"
     )
     assert run_fresh(code) == (
@@ -148,11 +169,24 @@ def test_search_names_resolve_on_first_use():
     )
 
 
+def traced_names(module: str) -> set[str]:
+    """The names of ``module`` that perfbench/spans.py's TARGETS list, read without importing it."""
+    tree = ast.parse((PERFBENCH / "spans.py").read_text())
+    [targets] = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]
+    ]
+    return {attr for mod, attr in targets if mod == module}
+
+
 @pytest.mark.parametrize(
     "module", sorted(p.name for p in Path(outerpath.__file__).parent.glob("*.py") if p.name != "__init__.py")
 )
 def test_every_imported_name_is_used(module):
-    # the package has no linter; __init__.py imports names to re-export them
+    # the package has no linter; __init__.py imports names to re-export them,
+    # and a module may import a name only so that the span tracer finds it
+    # there under the module's name
     tree = ast.parse((Path(outerpath.__file__).parent / module).read_text())
     imported = set()
     for node in ast.walk(tree):
@@ -161,7 +195,7 @@ def test_every_imported_name_is_used(module):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    assert sorted(imported - used) == []
+    assert sorted(imported - used - traced_names(module.removesuffix(".py"))) == []
 
 
 def test_traced_names_resolve():
@@ -170,9 +204,8 @@ def test_traced_names_resolve():
     # attribute; it also wraps dual.Tree.__post_init__ and each entry of
     # verify.ALL_CHECKS.  install rebinds module attributes, so it runs in
     # a fresh interpreter that imports what the benchmark imports
-    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
     code = (
-        f"import sys\nsys.path.insert(0, {str(perfbench)!r})\n"
+        f"import sys\nsys.path.insert(0, {str(PERFBENCH)!r})\n"
         "import outerpath, spans, workloads\n"
         "spans.install(spans.Tracer(), outerpath)\n"
     )

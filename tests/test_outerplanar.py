@@ -291,7 +291,7 @@ class TestMaximalCompletion:
 
     def test_fixed_point_and_idempotence(self):
         rng = random.Random(31)
-        from outerpath.search import random_outerplanar
+        from outerpath.polygon import random_outerplanar
 
         for _ in range(100):
             g = random_outerplanar(rng.randint(3, 12), rng)
@@ -305,7 +305,7 @@ class TestMaximalCompletion:
 
     def test_embedding_agnostic_edge_bound(self):
         rng = random.Random(77)
-        from outerpath.search import random_outerplanar
+        from outerpath.polygon import random_outerplanar
 
         for _ in range(200):
             g = random_outerplanar(rng.randint(3, 14), rng)

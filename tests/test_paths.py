@@ -12,7 +12,7 @@ from outerpath import (
     count_induced_paths_between,
     iter_induced_paths,
 )
-from outerpath.search import random_outerplanar
+from outerpath.polygon import random_outerplanar
 
 from helpers import (
     brute_count_between,

@@ -27,20 +27,22 @@ from outerpath import (
     search,
     to_graph6,
 )
+from outerpath.polygon import (
+    catalan,
+    dihedral_orbits,
+    dissections,
+    enumerate_triangulations,
+    random_outerplanar,
+    triangulation_chord_sets,
+)
 from outerpath.search import (
     _add,
     _argmax,
     _chunked,
     _path_cubes,
     _pool_map,
-    catalan,
-    dihedral_orbits,
-    dissections,
     endpoint_pair_maxima,
-    enumerate_triangulations,
     extremal_value,
-    random_outerplanar,
-    triangulation_chord_sets,
 )
 
 from helpers import brute_count_induced_paths, enumerate_outerplanar

@@ -22,11 +22,14 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+CHORDS = "src/outerpath/chords.py"
 CONSTRUCTIONS = "src/outerpath/constructions.py"
 DUAL = "src/outerpath/dual.py"
 GRAPH = "src/outerpath/graph.py"
+GRAPH6 = "src/outerpath/graph6.py"
 OUTERPLANAR = "src/outerpath/outerplanar.py"
 PATHS = "src/outerpath/paths.py"
+POLYGON = "src/outerpath/polygon.py"
 SEARCH = "src/outerpath/search.py"
 VERIFY = "src/outerpath/verify.py"
 
@@ -125,10 +128,31 @@ MUTANTS = [
     ),
     (
         "dihedral images drop the reflections",
-        SEARCH,
+        POLYGON,
         "for sign in (1, -1):",
         "for sign in (1,):",
         ["tests/test_search.py"],
+    ),
+    (
+        "dissections merge a face only over a gap of three",
+        POLYGON,
+        "dissect and c - lo >= 2",
+        "dissect and c - lo >= 3",
+        ["tests/test_search.py"],
+    ),
+    (
+        "s2 counts non-induced 3-vertex paths",
+        CHORDS,
+        "adj[c] & interior_mask & ~adj[e]",
+        "adj[c] & interior_mask",
+        ["tests/test_acceptance.py::test_criterion_08_chord_inequality_suite"],
+    ),
+    (
+        "graph6 writes a 1-byte header for n = 63",
+        GRAPH6,
+        "if n <= 62:\n        out = [chr(63 + n)]",
+        "if n <= 63:\n        out = [chr(63 + n)]",
+        ["tests/test_graph6.py::test_round_trip_63_and_64"],
     ),
     (
         "canonical search cuts a prefix equal to the best",
