@@ -15,7 +15,6 @@ from .graph import (
     bits,
     blocks,
     canonical_form,
-    induced_subgraph,
     is_two_connected,
     to_dot,
     vertex_set,

@@ -125,31 +125,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count()})"
 
 
-def induced_subgraph(g: Graph, s: VertexSet) -> Graph:
-    """Subgraph induced by the vertex set ``s``, relabeled 0..|s|-1.
-
-    Kept vertices are renumbered in ascending original index.
-    """
-    if s == 0:
-        raise ValueError("cannot take the subgraph induced by an empty vertex set")
-    if s & ~g.full_mask:
-        raise ValueError("vertex set contains indices outside the graph")
-    # a kept vertex u lands on the number of kept vertices below it
-    rows = []
-    rest = s
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        row = g.adj[low.bit_length() - 1] & s
-        new = 0
-        while row:
-            u = row & -row
-            row ^= u
-            new |= 1 << (s & (u - 1)).bit_count()
-        rows.append(new)
-    return Graph._from_rows(tuple(rows))
-
-
 def _components(g: Graph, within: VertexSet) -> Iterator[VertexSet]:
     """Vertex masks of the connected components of the subgraph induced by ``within``."""
     adj = g.adj

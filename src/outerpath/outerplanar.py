@@ -1,21 +1,22 @@
 """Outerplanarity recognition, outer-cycle embeddings and triangulating completions.
 
 A cyclic vertex order is a certificate of outerplanarity exactly when
-:func:`verify_embedding` finds no two interleaving edges.  Recognition
+:func:`_crossing_free` finds no two interleaving edges in it.  Recognition
 produces such certificates: it splits the graph into biconnected blocks
 and peels each block down to a triangle by removing degree-2 vertices
-(Mitchell 1979), then re-inserts them to rebuild the block's outer cycle.
-A graph is outerplanar iff every block's cycle verifies, and a 2-connected
-outerplanar graph's outer cycle is its unique Hamiltonian cycle.  Nothing
-is believed without the certificate check, and there is no size cap
-below the graph core's own.
+(Mitchell 1979), then re-inserts them to rebuild the block's outer cycle,
+in the graph's own vertex labels.  A graph is outerplanar iff every
+block's cycle is crossing-free, and a 2-connected outerplanar graph's
+outer cycle is its unique Hamiltonian cycle.  Nothing is believed without
+the certificate check, and there is no size cap below the graph core's
+own.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .graph import Graph, VertexSet, bits, blocks, induced_subgraph, is_two_connected
+from .graph import Graph, VertexSet, bits, blocks, is_two_connected
 
 
 class OuterEmbedding(NamedTuple):
@@ -37,33 +38,32 @@ class OuterEmbedding(NamedTuple):
     def to_string(self) -> str:
         return ",".join(str(v) for v in self.order)
 
-    def positions(self) -> tuple[int, ...]:
-        pos = [0] * len(self.order)
-        for i, v in enumerate(self.order):
-            pos[v] = i
-        return tuple(pos)
-
 
 def _check_permutation(g: Graph, emb: OuterEmbedding) -> None:
     if sorted(emb.order) != list(range(g.n)):
         raise ValueError("embedding order is not a permutation of the vertices")
 
 
-def verify_embedding(g: Graph, emb: OuterEmbedding) -> bool:
-    """True iff no two edges interleave in the cyclic order.
+def _crossing_free(adj: tuple[int, ...], order: Sequence[int]) -> bool:
+    """True iff no two edges among the vertices of ``order`` interleave in its cyclic order.
 
     Interleaving means exactly one endpoint of one edge lies strictly
     between the endpoints of the other; edges sharing an endpoint never
-    cross.  One pass over the position spans, sorted by left end and then
-    longest first, keeps the right ends of the spans still open on a
-    stack; crossing-free spans nest, so the stack's ends never increase
-    and a span crosses an open one iff it reaches past the innermost.
+    cross.  Edges to vertices outside ``order`` are not scanned, and each
+    vertex's position is its index in ``order``.  One pass over the
+    position spans, sorted by left end and then longest first, keeps the
+    right ends of the spans still open on a stack; crossing-free spans
+    nest, so the stack's ends never increase and a span crosses an open
+    one iff it reaches past the innermost.
     """
-    _check_permutation(g, emb)
-    pos = emb.positions()
+    pos = [0] * len(adj)
+    mask = 0
+    for i, v in enumerate(order):
+        pos[v] = i
+        mask |= 1 << v
     spans = []  # (left, -right), so a sort puts longer spans first on a tie
-    for u, row in enumerate(g.adj):
-        a = pos[u]
+    for a, u in enumerate(order):
+        row = adj[u] & mask
         row = row >> (u + 1) << (u + 1)
         while row:
             low = row & -row
@@ -82,6 +82,12 @@ def verify_embedding(g: Graph, emb: OuterEmbedding) -> bool:
     return True
 
 
+def verify_embedding(g: Graph, emb: OuterEmbedding) -> bool:
+    """True iff ``emb`` orders all of ``g``'s vertices and no two edges interleave in it."""
+    _check_permutation(g, emb)
+    return _crossing_free(g.adj, emb.order)
+
+
 # -- recognition by degree-2 peeling -----------------------------------------
 
 
@@ -94,7 +100,7 @@ def _peel_cycle(adj: tuple[int, ...], block: VertexSet) -> list[int] | None:
     must be consecutive on the reduced block's unique Hamiltonian cycle.
     A non-outerplanar block can reach the triangle too (K2,3 does), and
     then some insertion finds u and w apart.  A returned cycle is still
-    only a candidate: callers certify it with :func:`verify_embedding`.
+    only a candidate: callers certify it with :func:`_crossing_free`.
     The cycle starts at the block's smallest vertex, followed by its
     smaller cycle neighbor.
     """
@@ -140,10 +146,9 @@ def is_outerplanar(g: Graph) -> bool:
     """True iff every block of ``g`` with 3 or more vertices has a certified outer cycle.
 
     Rejects immediately on the edge bound e > 2n-3.  Otherwise each such
-    block is peeled to a candidate outer cycle, which must
-    pass :func:`verify_embedding` on the block's induced subgraph (on
-    ``g`` itself when the block spans it), so a True answer always rests
-    on a checked embedding.
+    block is peeled to a candidate outer cycle, which must pass
+    :func:`_crossing_free` on ``g``'s own rows, so a True answer always
+    rests on a checked embedding of every block.
     """
     n = g.n
     if n >= 2 and g.edge_count() > 2 * n - 3:
@@ -152,15 +157,7 @@ def is_outerplanar(g: Graph) -> bool:
         if block.bit_count() < 3:
             continue
         cycle = _peel_cycle(g.adj, block)
-        if cycle is None:
-            return False
-        if block == g.full_mask:
-            # relabelling the block would change nothing
-            sub, emb = g, OuterEmbedding(tuple(cycle))
-        else:
-            rank = {v: i for i, v in enumerate(bits(block))}
-            sub, emb = induced_subgraph(g, block), OuterEmbedding(tuple(rank[v] for v in cycle))
-        if not verify_embedding(sub, emb):
+        if cycle is None or not _crossing_free(g.adj, cycle):
             return False
     return True
 
@@ -176,10 +173,8 @@ def outer_cycle(g: Graph) -> OuterEmbedding:
     if not is_two_connected(g):
         raise ValueError("outer_cycle requires a 2-connected graph")
     cycle = _peel_cycle(g.adj, g.full_mask)
-    if cycle is not None:
-        emb = OuterEmbedding(tuple(cycle))
-        if verify_embedding(g, emb):
-            return emb
+    if cycle is not None and _crossing_free(g.adj, cycle):
+        return OuterEmbedding(tuple(cycle))
     raise ValueError("graph is not outerplanar: it has no crossing-free outer cycle")
 
 

@@ -10,7 +10,6 @@ from outerpath import (
     canonical_form,
     from_graph6,
     graph,
-    induced_subgraph,
     is_two_connected,
     polygon,
     search,
@@ -60,38 +59,6 @@ class TestConstruction:
         for _ in range(50):
             g = random_graph(rng.randint(1, 12), rng.random(), rng)
             assert sum(g.degree(v) for v in range(g.n)) == 2 * g.edge_count()
-
-
-class TestInducedSubgraph:
-    def test_consecutive_cycle_vertices_give_path(self):
-        h = induced_subgraph(cycle(6), vertex_set([0, 1, 2]))
-        assert h.n == 3 and sorted(h.edges()) == [(0, 1), (1, 2)]
-
-    def test_full_set_is_identity(self):
-        g = cycle(6)
-        assert induced_subgraph(g, g.full_mask) == g
-
-    def test_star_leaves_are_independent(self):
-        h = induced_subgraph(star(7), vertex_set([1, 3, 5]))
-        assert h.n == 3 and h.edge_count() == 0
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            induced_subgraph(cycle(4), 0)
-
-    def test_intersection_composition(self):
-        rng = random.Random(11)
-        for _ in range(30):
-            g = random_graph(8, 0.5, rng)
-            s = rng.randrange(1, 256)
-            t = rng.randrange(1, 256)
-            if s & t == 0:
-                continue
-            once = induced_subgraph(g, s & t)
-            inner = induced_subgraph(g, s)
-            verts = [v for v in range(8) if s >> v & 1]
-            translated = vertex_set(i for i, v in enumerate(verts) if t >> v & 1)
-            assert induced_subgraph(inner, translated) == once
 
 
 class TestConnectivity:

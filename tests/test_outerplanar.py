@@ -3,6 +3,8 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from outerpath import (
     Graph,
@@ -14,7 +16,7 @@ from outerpath import (
     outerplanar,
     verify_embedding,
 )
-from outerpath.graph import bits
+from outerpath.graph import bits, blocks, vertex_set
 
 from helpers import orders_cross, outerplanar_by_order_search, random_graph, relabel, two_connected_corpus
 
@@ -256,17 +258,46 @@ class TestCertificateCheck:
         assert is_outerplanar(c6_chord())
 
     def test_block_beside_a_cut_vertex(self, ascending_peel):
-        # vertex 0 hangs off the block 1..6, which is relabelled before its check
+        # vertex 0 hangs off the block 1..6, which is checked on the graph's own rows
         def pendant_c6(chords):
             return Graph(7, [(0, 1)] + [(1 + i, 1 + (i + 1) % 6) for i in range(6)] + chords)
 
         assert not is_outerplanar(pendant_c6([(1, 4), (2, 5)]))
         assert is_outerplanar(pendant_c6([(1, 4)]))
 
+    def test_scan_reads_only_edges_among_the_listed_vertices(self):
+        # the block 0..3 with chord (1, 3), and the pendant edge (2, 4) that leaves it
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3), (2, 4)])
+        assert outerplanar._crossing_free(g.adj, [0, 1, 2, 3])
+        assert not outerplanar._crossing_free(g.with_edges([(0, 2)]).adj, [0, 1, 2, 3])
+
     def test_outer_cycle(self, ascending_peel):
         with pytest.raises(ValueError):
             outer_cycle(self.crossed)
         assert outer_cycle(c6_chord()).order == tuple(range(6))
+
+
+@st.composite
+def drawn_graph(draw):
+    """A graph on 3..9 vertices with a drawn edge list, from empty to complete."""
+    n = draw(st.integers(3, 9))
+    pairs = list(combinations(range(n), 2))
+    return Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)))
+
+
+class TestPeelCycle:
+    """The crossing scan reads positions only for the vertices its order
+    lists, so recognition relies on each peeled cycle listing its block."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(drawn_graph())
+    def test_cycle_lists_each_block_vertex_once(self, g):
+        for block in blocks(g):
+            if block.bit_count() < 3:
+                continue
+            cycle = outerplanar._peel_cycle(g.adj, block)
+            if cycle is not None:
+                assert len(cycle) == block.bit_count() and vertex_set(cycle) == block, (g.adj, block)
 
 
 class TestMaximalCompletion:

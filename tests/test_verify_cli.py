@@ -2,12 +2,16 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import outerpath
+from outerpath import verify
 from outerpath.cli import main
+from outerpath.constructions import double_star_p4_count, fib
 from outerpath.verify import ALL_CHECKS, CheckResult, check_fibonacci_recurrence, run_verify
 
 # Report recorded by the benchmark; read here, never written.
@@ -216,3 +220,42 @@ def test_checks_accept_a_worker_count_they_do_not_use():
     for result in (check_fibonacci_recurrence(), check_fibonacci_recurrence(2)):
         assert isinstance(result, CheckResult)
         assert (result.name, result.claim, result.passed) == ("fibonacci-path-recurrence", "C3", True)
+
+
+class TestVerdictsAtTheirBounds:
+    """Each bound check passes on data at its bound and fails one step past it.
+
+    The check's data source is replaced, so the verdict is tested apart
+    from the search that feeds it on a real run.
+    """
+
+    @staticmethod
+    def run(name: str) -> CheckResult:
+        return dict(ALL_CHECKS)[name]()
+
+    @pytest.mark.parametrize("past, passed", [(0, True), (1, False)])
+    def test_endpoint_bound(self, monkeypatch, past, passed):
+        # one endpoint pair with fib(m) + past induced m-paths for every m
+        def census(n, jobs=1):
+            row = [0, 0] + [fib(m) + past for m in range(2, n + 1)]
+            return SimpleNamespace(tolist=lambda: [row])
+
+        monkeypatch.setattr(verify, "endpoint_pair_maxima", census)
+        assert self.run("endpoint-path-bound").passed is passed
+
+    @pytest.mark.parametrize("past, passed", [(0, True), (1, False)])
+    def test_sandwich_upper_bound(self, monkeypatch, past, passed):
+        # the check asks for (k+1)-paths and caps them at fib(k+1) * C(n, 2)
+        def search(n, k, jobs=1):
+            return SimpleNamespace(max_copies=fib(k) * comb(n, 2) + past)
+
+        monkeypatch.setattr(verify, "extremal_value", search)
+        assert self.run("path-count-sandwich").passed is passed
+
+    @pytest.mark.parametrize("past, passed", [(0, True), (1, False)])
+    def test_p4_double_star_floor(self, monkeypatch, past, passed):
+        def search(n, k, jobs=1):
+            return SimpleNamespace(max_copies=double_star_p4_count(n) - past)
+
+        monkeypatch.setattr(verify, "extremal_value", search)
+        assert self.run("p4-extremal-report").passed is passed

@@ -8,8 +8,10 @@ copy, so a red selection cannot kill mutants by itself.
 
     python3 tools/mutants.py
 
-Exit status 0 means every mutant was killed, 1 that some survived or did
-not apply.
+Each mutant's line gives the wall time of its selection, and the last
+line the wall time of the whole run, baseline selections included.  Exit
+status 0 means every mutant was killed, 1 that some survived or did not
+apply.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -148,6 +151,34 @@ MUTANTS = [
         ["tests/test_acceptance.py::test_criterion_08_chord_inequality_suite"],
     ),
     (
+        "class A admits two neighbors among x's side-neighbors",
+        CHORDS,
+        "(adj[v] & ox_mask).bit_count() <= 1",
+        "(adj[v] & ox_mask).bit_count() <= 2",
+        ["tests/test_chords.py::TestPartition::test_classes_agree_with_naive_definitions"],
+    ),
+    (
+        "class B takes the gaps that hold a common neighbor",
+        CHORDS,
+        "if not adj[seq[i]] & adj[seq[j]] & vertex_set(seq[i + 1 : j])",
+        "if adj[seq[i]] & adj[seq[j]] & vertex_set(seq[i + 1 : j])",
+        ["tests/test_chords.py::TestPartition::test_classes_agree_with_naive_definitions"],
+    ),
+    (
+        "v_ell is never shared",
+        CHORDS,
+        "v_ell=ox[-1] if ox and oy and ox[-1] == oy[0] else None,",
+        "v_ell=None,",
+        ["tests/test_chords.py::TestPartition::test_shared_vertex_lives_in_both_d_classes"],
+    ),
+    (
+        "phi counts paths that meet either side",
+        CHORDS,
+        "pmask & u_strict and pmask & up_strict",
+        "pmask & u_strict or pmask & up_strict",
+        ["tests/test_chords.py::TestPhi::test_agrees_with_brute_on_corpus_n6"],
+    ),
+    (
         "graph6 writes a 1-byte header for n = 63",
         GRAPH6,
         "if n <= 62:\n        out = [chr(63 + n)]",
@@ -206,16 +237,23 @@ MUTANTS = [
     (
         "recognition trusts the peeled cycle unchecked",
         OUTERPLANAR,
-        "        if not verify_embedding(sub, emb):\n            return False\n",
-        "",
+        "if cycle is None or not _crossing_free(g.adj, cycle):",
+        "if cycle is None:",
         ["tests/test_outerplanar.py"],
     ),
     (
         "outer cycle returns before its check",
         OUTERPLANAR,
-        "        if verify_embedding(g, emb):\n            return emb",
-        "        return emb",
+        "if cycle is not None and _crossing_free(g.adj, cycle):",
+        "if cycle is not None:",
         ["tests/test_outerplanar.py"],
+    ),
+    (
+        "crossing scan reads edges that leave the listed vertices",
+        OUTERPLANAR,
+        "row = adj[u] & mask\n",
+        "row = adj[u]\n",
+        ["tests/test_outerplanar.py::TestCertificateCheck::test_scan_reads_only_edges_among_the_listed_vertices"],
     ),
     (
         "balanced-cut check reads the cut in one orientation",
@@ -223,6 +261,27 @@ MUTANTS = [
         "    if parent[u] == v:\n        u, v = v, u\n",
         "",
         ["tests/test_dual.py"],
+    ),
+    (
+        "endpoint bound admits one path over fib(m)",
+        VERIFY,
+        "if worst > fib(m):",
+        "if worst > fib(m) + 1:",
+        ["tests/test_verify_cli.py::TestVerdictsAtTheirBounds::test_endpoint_bound"],
+    ),
+    (
+        "sandwich admits one copy over its upper bound",
+        VERIFY,
+        "if report.max_copies > upper:",
+        "if report.max_copies > upper + 1:",
+        ["tests/test_verify_cli.py::TestVerdictsAtTheirBounds::test_sandwich_upper_bound"],
+    ),
+    (
+        "P4 report admits one copy under the double star",
+        VERIFY,
+        "if report.max_copies < floor:",
+        "if report.max_copies < floor - 1:",
+        ["tests/test_verify_cli.py::TestVerdictsAtTheirBounds::test_p4_double_star_floor"],
     ),
     (
         "balanced cut folds a side of exactly half",
@@ -285,6 +344,7 @@ def summary(proc: subprocess.CompletedProcess) -> str:
 
 
 def main() -> int:
+    start = time.perf_counter()
     bad = 0
     with tempfile.TemporaryDirectory(prefix="outerpath-mutants-") as tmp:
         copy = Path(tmp) / "repo"
@@ -302,21 +362,24 @@ def main() -> int:
                 bad += 1
                 continue
             path.write_text(text.replace(old, new))
+            t0 = time.perf_counter()
             try:
                 proc = run_selection(copy, selection)
             finally:
                 path.write_text(text)
+            took = f"{time.perf_counter() - t0:5.1f} s"
             # pytest exits 1 when tests ran and some failed; any other
             # nonzero status is an error in the run, not a kill
             if proc.returncode == 1:
-                print(f"killed       {name}: {summary(proc)}")
+                print(f"killed       {took}  {name}: {summary(proc)}")
             elif proc.returncode == 0:
-                print(f"SURVIVED     {name}: {summary(proc)}")
+                print(f"SURVIVED     {took}  {name}: {summary(proc)}")
                 bad += 1
             else:
-                print(f"ERROR        {name}: pytest exited {proc.returncode}: {summary(proc)}")
+                print(f"ERROR        {took}  {name}: pytest exited {proc.returncode}: {summary(proc)}")
                 bad += 1
-    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
+    total = time.perf_counter() - start
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed in {total:.0f} s")
     return 1 if bad else 0
 
 
