@@ -102,16 +102,6 @@ def random_outerplanar(n: int, rng: random.Random) -> Graph:
     return Graph(n, [e for e in edges if rng.random() < keep])
 
 
-def dihedral_orbits(n: int) -> Iterator[tuple[Edges, int]]:
-    """Each rotation/reflection orbit of the dissections of the n-gon once,
-    as its least chord set and its size, the number of dissections in it.
-
-    Orbits come in the order in which :func:`dissections` first meets a
-    member of each.
-    """
-    return orbit_minima(n, dissections(n))
-
-
 def _dihedral_images(n: int, edges: Edges) -> Iterator[list[tuple[int, int]]]:
     """The edges under each of the 2n rotations and reflections of the
     cycle 0..n-1, every image edge as (low, high)."""
@@ -121,14 +111,17 @@ def _dihedral_images(n: int, edges: Edges) -> Iterator[list[tuple[int, int]]]:
             yield [(u, v) if u < v else (v, u) for u, v in image]
 
 
-def orbit_minima(n: int, edge_sets: Iterable[Edges]) -> Iterator[tuple[Edges, int]]:
-    """The least member and size of each rotation/reflection orbit that the
-    sorted (low, high) edge tuples ``edge_sets`` meet, at the first member
-    met; the orbit's 2n images are then kept, so its later members cost one lookup.
+def dihedral_orbits(n: int) -> Iterator[tuple[Edges, int]]:
+    """Each rotation/reflection orbit of the dissections of the n-gon once,
+    as its least chord set and its size, the number of dissections in it.
+
+    Orbits come in the order in which :func:`dissections` first meets a
+    member of each; the orbit's images are then kept, so its later members
+    cost one lookup.
     """
     seen: set[Edges] = set()
-    for edges in edge_sets:
-        if edges not in seen:
-            images = {tuple(sorted(image)) for image in _dihedral_images(n, edges)}
+    for chords in dissections(n):
+        if chords not in seen:
+            images = {tuple(sorted(image)) for image in _dihedral_images(n, chords)}
             seen |= images
             yield min(images), len(images)

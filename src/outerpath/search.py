@@ -15,19 +15,18 @@ big-int operation acts on all subsets at once.  The sweep yields the
 per-length maxima with their maximising graphs and the endpoint-pair
 census, kept per distance of the pair around the cycle, which the
 rotations and reflections preserve; ``extremal_value`` and
-``endpoint_pair_maxima`` read it from a per-process cache.  Maximising
-graphs are canonicalised once per rotation/reflection class of the
-outer cycle.
+``endpoint_pair_maxima`` read it from a per-process cache.
 
 With ``jobs`` workers, :func:`_sweep` splits the orbit representatives
 once into at most ``jobs`` contiguous blocks, each carrying 2^n subsets;
-the reduction (max, then union of maximising graphs) is associative, so
-reports are byte-identical for any worker count.  :func:`_pool_map` scans
-the first block in the caller and each other block in one child
-process, and reaps every child before the sweep returns.  A sweep whose
-work (representatives times 2^n subsets) is below ``_FORK_WORK``, which
-is every sweep with n <= 8, costs less than starting a child, so the
-caller scans all its blocks itself and never imports multiprocessing.
+the reduction (max, then the maximising graphs of the blocks that reach
+it, in block order) is associative, so reports are byte-identical for
+any worker count.  :func:`_pool_map` scans the first block in the caller
+and each other block in one child process, and reaps every child before
+the sweep returns.  A sweep whose work (representatives times 2^n
+subsets) is below ``_FORK_WORK``, which is every sweep with n <= 8,
+costs less than starting a child, so the caller scans all its blocks
+itself and never imports multiprocessing.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from array import array
 from typing import NamedTuple
 
 from .graph import SCHEMA, Graph, UnsupportedSizeError, canonical_form
-from .polygon import Edges, catalan, cycle_edges, dihedral_orbits, orbit_minima
+from .polygon import Edges, catalan, cycle_edges, dihedral_orbits
 
 # perfbench/spans.py traces this name as search.triangulation_chord_sets
 from .polygon import triangulation_chord_sets
@@ -212,13 +211,13 @@ def _sweep_block(args) -> tuple[list[int], list[list[Edges]], list[int]]:
 class _Sweep(NamedTuple):
     """One pass over every n-vertex outerplanar graph, for every path length m.
 
-    ``best[m]`` is the most induced m-paths in one graph; ``classes[m]``
-    holds one graph per rotation/reflection class of the maximisers;
-    ``pair_maxima`` is the read-only endpoint census.
+    ``best[m]`` is the most induced m-paths in one graph; ``maximisers[m]``
+    holds the edges of every graph over an orbit representative that has
+    that many; ``pair_maxima`` is the read-only endpoint census.
     """
 
     best: tuple[int, ...]
-    classes: tuple[tuple[Graph, ...], ...]
+    maximisers: tuple[tuple[Edges, ...], ...]
     pair_maxima: memoryview
 
 
@@ -244,8 +243,9 @@ def _sweep(n: int, jobs: int) -> _Sweep:
     subset of the cycle edges plus a dissection, and a rotation or
     reflection of the cycle carries it onto a graph over the orbit
     representative of its dissection, with the same counts.  Blocks of
-    representatives are scanned independently and reduced by max and
-    union, which does not depend on how the list is split; each block keys
+    representatives are scanned independently and reduced by max, then
+    by joining the maximisers of the blocks that reach it in block order,
+    which does not depend on how the list is split; each block keys
     its census by the distance of the pair around the cycle, which those
     maps keep, so the reduced rows serve every pair.  A sweep with less
     work than ``_FORK_WORK`` scans its blocks one after another in the
@@ -264,10 +264,10 @@ def _sweep(n: int, jobs: int) -> _Sweep:
     else:
         parts = _pool_map(_sweep_block, args)
     best = [max(p[0][m] for p in parts) for m in range(n + 1)]
-    classes = []
-    for m in range(n + 1):
-        tied = (tuple(sorted(edges)) for p in parts if p[0][m] == best[m] for edges in p[1][m])
-        classes.append(tuple(Graph(n, rep) for rep, _ in sorted(orbit_minima(n, tied))))
+    maximisers = tuple(
+        tuple(edges for p in parts if p[0][m] == best[m] for edges in p[1][m])
+        for m in range(n + 1)
+    )
     # the census, reduced by max; the rotations and reflections carry a pair
     # x < y onto exactly the pairs at its distance around the cycle, so each
     # pair reads its distance's row, and every pair x >= y the zero row 0
@@ -277,7 +277,7 @@ def _sweep(n: int, jobs: int) -> _Sweep:
     # memoryview does not pickle, so it is built here in the caller
     flat = array("i", [c for d in distance for c in census[d * (n + 1) : (d + 1) * (n + 1)]])
     pair_maxima = memoryview(flat.tobytes()).cast("i", (n * n, n + 1))
-    _sweep_cache[key] = _Sweep(tuple(best), tuple(classes), pair_maxima)
+    _sweep_cache[key] = _Sweep(tuple(best), maximisers, pair_maxima)
     return _sweep_cache[key]
 
 
@@ -341,8 +341,7 @@ def extremal_value(n: int, k: int, jobs: int = 1) -> SearchReport:
     """Exact maximum induced k-path count over all n-vertex outerplanar graphs.
 
     Reads the sweep for n; witnesses are the canonical forms (graph6) of
-    all maximizing graphs, canonicalised once per rotation/reflection
-    class of the outer cycle.
+    all maximizing graphs.
     """
     if not 3 <= n <= SEARCH_CAP:
         raise UnsupportedSizeError(f"extremal search supports 3 <= n <= {SEARCH_CAP}")
@@ -351,7 +350,7 @@ def extremal_value(n: int, k: int, jobs: int = 1) -> SearchReport:
         raise ValueError(f"k must be in 2..{n}, got {k}")
     start = time.perf_counter()
     sweep = _sweep(n, jobs)
-    witnesses = {canonical_form(g) for g in sweep.classes[k]}
+    witnesses = {canonical_form(Graph(n, edges)) for edges in sweep.maximisers[k]}
     triangulations = catalan(n - 2)
     return SearchReport(
         n=n,

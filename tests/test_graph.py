@@ -215,7 +215,8 @@ class TestForestForm:
                 assert graph._forest_relabel(relabel(g, perm)) == form
 
     def test_path_cell_runs_the_brute_search_once(self, monkeypatch):
-        # the 36 dihedral classes of the n = 9, k = 9 cell are all P9
+        # the 50 maximisers of the n = 9, k = 9 cell, over the orbit
+        # representatives, are all P9
         brute = graph._brute_form
         searched = []
 

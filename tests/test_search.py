@@ -471,7 +471,7 @@ class TestExtremalValue:
     @staticmethod
     def _assert_same_sweep(a, b):
         assert a.best == b.best
-        assert a.classes == b.classes
+        assert a.maximisers == b.maximisers
         assert a.pair_maxima.tolist() == b.pair_maxima.tolist()
 
     @pytest.mark.parametrize("jobs", [2, 8])
@@ -518,9 +518,10 @@ class TestExtremalValue:
         assert multiprocessing.active_children() == []
         self._assert_same_sweep(split, serial)
 
-    def test_class_representatives_give_every_witness(self):
-        # canonicalising one graph per rotation/reflection class gives the
-        # same witnesses as canonicalising every maximising labeled graph;
+    def test_orbit_representatives_give_every_witness(self):
+        # canonicalising the maximisers over one dissection per orbit gives
+        # the same witnesses as canonicalising every maximising labeled
+        # graph, since a rotation or reflection keeps the isomorphism class;
         # the kernel run over every dissection, not one per orbit, yields
         # all of those graphs, and its census row for distance d is the
         # census of the pair (0, d)

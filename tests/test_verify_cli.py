@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from math import comb
+from math import ceil, comb
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,7 +11,7 @@ import pytest
 import outerpath
 from outerpath import verify
 from outerpath.cli import main
-from outerpath.constructions import double_star_p4_count, fib
+from outerpath.constructions import double_star_p4_count, fib, lower_bound_value
 from outerpath.verify import ALL_CHECKS, CheckResult, check_fibonacci_recurrence, run_verify
 
 # Report recorded by the benchmark; read here, never written.
@@ -251,6 +251,30 @@ class TestVerdictsAtTheirBounds:
 
         monkeypatch.setattr(verify, "extremal_value", search)
         assert self.run("path-count-sandwich").passed is passed
+
+    @pytest.mark.parametrize("past, passed", [(0, True), (1, False)])
+    def test_sandwich_lower_bound(self, monkeypatch, past, passed):
+        # the check asks for (k+1)-paths; rows with k >= 2 and n >= 2k get
+        # the least whole count over fib(k-1) * (n-2k+3)^2 / 4, and the
+        # rest none, so every row stays under its upper bound
+        def search(n, k, jobs=1):
+            copies = 0
+            if k >= 3 and n >= 2 * (k - 1):
+                copies = ceil(lower_bound_value(k - 1, n)) - past
+            assert copies <= fib(k) * comb(n, 2)
+            return SimpleNamespace(max_copies=copies)
+
+        monkeypatch.setattr(verify, "extremal_value", search)
+        assert self.run("path-count-sandwich").passed is passed
+
+    @pytest.mark.parametrize("past, passed", [(0, True), (1, False)])
+    def test_construction_lower_bound(self, monkeypatch, past, passed):
+        # the check counts (k+1)-paths in each gadget on n vertices
+        def count(g, k):
+            return SimpleNamespace(copies=ceil(lower_bound_value(k - 1, g.n)) - past)
+
+        monkeypatch.setattr(verify, "count_induced_paths", count)
+        assert self.run("construction-lower-bound").passed is passed
 
     @pytest.mark.parametrize("past, passed", [(0, True), (1, False)])
     def test_p4_double_star_floor(self, monkeypatch, past, passed):

@@ -35,6 +35,8 @@ PATHS = "src/outerpath/paths.py"
 POLYGON = "src/outerpath/polygon.py"
 SEARCH = "src/outerpath/search.py"
 VERIFY = "src/outerpath/verify.py"
+# the sweep kernel's rows against the induced-path lister, subset by subset
+CANDIDATE_ROWS = "tests/test_search.py::TestOrbitRepresentatives::test_candidate_rows_are_the_induced_paths_of_each_subset"
 
 # (name, file, old text, new text, pytest selection)
 MUTANTS = [
@@ -71,49 +73,49 @@ MUTANTS = [
         SEARCH,
         "after_on if after == ubit else after_off",
         "after_on if after == ubit else everyone",
-        ["tests/test_search.py"],
+        [CANDIDATE_ROWS],
     ),
     (
         "path walk leaves the w-1 edge cubes unrotated",
         SEARCH,
         "*edge[w - 1]",
         "*edge[w]",
-        ["tests/test_search.py"],
+        [CANDIDATE_ROWS],
     ),
     (
         "candidate walk skips the start n-2",
         SEARCH,
         "for s in range(n - 1):\n        extend(",
         "for s in range(n - 2):\n        extend(",
-        ["tests/test_search.py"],
+        [CANDIDATE_ROWS],
     ),
     (
         "candidate chord test counts the predecessor",
         SEARCH,
         "chord_adj[w] & pmask & ~ubit",
         "chord_adj[w] & pmask",
-        ["tests/test_search.py"],
+        [CANDIDATE_ROWS],
     ),
     (
         "counter carry stops one plane early",
         SEARCH,
         "for j, plane in enumerate(planes):",
         "for j, plane in enumerate(planes[:-1]):",
-        ["tests/test_search.py"],
+        ["tests/test_search.py::TestBitsetKernel::test_counter_add_and_argmax_equal_sum_and_max"],
     ),
     (
         "argmax walks the planes bottom-up",
         SEARCH,
         "for j in reversed(range(len(planes))):",
         "for j in range(len(planes)):",
-        ["tests/test_search.py"],
+        ["tests/test_search.py::TestBitsetKernel::test_counter_add_and_argmax_equal_sum_and_max"],
     ),
     (
         "census distance ignores the wrap-around",
         SEARCH,
         "distance = (min(y - x, n - y + x)",
         "distance = (min(y - x, n // 2)",
-        ["tests/test_search.py"],
+        ["tests/test_search.py::TestOrbitRepresentatives::test_census_is_dihedrally_symmetric"],
     ),
     (
         "census write ignores the wrap-around",
@@ -127,21 +129,35 @@ MUTANTS = [
         SEARCH,
         "if len(reps) << n < _FORK_WORK:",
         "if len(reps) << n >= _FORK_WORK:",
-        ["tests/test_search.py"],
+        ["tests/test_search.py::TestExtremalValue::test_small_sweeps_scan_every_block_in_the_caller[6-2]"],
+    ),
+    (
+        "sweep reduction reads only the first block",
+        SEARCH,
+        "for p in parts if",
+        "for p in parts[:1] if",
+        ["tests/test_search.py::TestExtremalValue::test_small_sweeps_scan_every_block_in_the_caller"],
+    ),
+    (
+        "orbit sizes are taken as full",
+        POLYGON,
+        "yield min(images), len(images)",
+        "yield min(images), 2 * n",
+        ["tests/test_search.py::TestOrbitRepresentatives::test_orbits_partition_the_dissections"],
     ),
     (
         "dihedral images drop the reflections",
         POLYGON,
         "for sign in (1, -1):",
         "for sign in (1,):",
-        ["tests/test_search.py"],
+        ["tests/test_search.py::TestOrbitRepresentatives::test_orbits_partition_the_dissections"],
     ),
     (
         "dissections merge a face only over a gap of three",
         POLYGON,
         "dissect and c - lo >= 2",
         "dissect and c - lo >= 3",
-        ["tests/test_search.py"],
+        ["tests/test_search.py::TestDissections::test_counts_are_little_schroeder_numbers"],
     ),
     (
         "s2 counts non-induced 3-vertex paths",
@@ -275,6 +291,20 @@ MUTANTS = [
         "if report.max_copies > upper:",
         "if report.max_copies > upper + 1:",
         ["tests/test_verify_cli.py::TestVerdictsAtTheirBounds::test_sandwich_upper_bound"],
+    ),
+    (
+        "sandwich admits one copy under its lower bound",
+        VERIFY,
+        "if report.max_copies < low:",
+        "if report.max_copies < low - 1:",
+        ["tests/test_verify_cli.py::TestVerdictsAtTheirBounds::test_sandwich_lower_bound"],
+    ),
+    (
+        "construction check admits one copy under its bound",
+        VERIFY,
+        "if copies < bound:",
+        "if copies < bound - 1:",
+        ["tests/test_verify_cli.py::TestVerdictsAtTheirBounds::test_construction_lower_bound"],
     ),
     (
         "P4 report admits one copy under the double star",
